@@ -20,8 +20,8 @@ func TestSelectExperimentsAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exps) != 12 {
-		t.Fatalf("ablation selection has %d experiments, want 12", len(exps))
+	if len(exps) != 13 {
+		t.Fatalf("ablation selection has %d experiments, want 13", len(exps))
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 // predicates from scratch on its current snapshot. Agreement means the two
 // update paths implement the same query semantics over the same stream.
 func TestContinuousBridgeDifferential(t *testing.T) {
-	bounds := twoknn.NewRect(0, 0, 1000, 1000)
 	rng := rand.New(rand.NewSource(77))
 	fresh := func() twoknn.Point {
 		// Distinct coordinates so point-identity removal on the continuous
@@ -29,8 +28,37 @@ func TestContinuousBridgeDifferential(t *testing.T) {
 	for i := range base {
 		base[i] = fresh()
 	}
+	runContinuousBridge(t, rng, 8, 8, base, fresh)
+}
 
-	cont, err := continuous.NewRelation(bounds, 8, 8, base)
+// TestContinuousBridgeSparseCells runs the bridge on a fine 32×32 grid over
+// a few dozen clustered points, so the stream keeps emptying and refilling
+// cells of the continuous side's dynamic grid — the transitions its
+// occupancy bits must follow.
+func TestContinuousBridgeSparseCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(78))
+	centers := []twoknn.Point{{X: 120, Y: 130}, {X: 700, Y: 820}, {X: 910, Y: 60}}
+	fresh := func() twoknn.Point {
+		if rng.Intn(8) == 0 { // now and then, anywhere
+			return twoknn.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		}
+		c := centers[rng.Intn(len(centers))]
+		return twoknn.Point{X: c.X + rng.Float64()*60, Y: c.Y + rng.Float64()*60}
+	}
+	base := make([]twoknn.Point, 30)
+	for i := range base {
+		base[i] = fresh()
+	}
+	runContinuousBridge(t, rng, 32, 32, base, fresh)
+}
+
+// runContinuousBridge drives a 300-step insert/remove/move stream, drawn from
+// rng and fresh, through a continuous relation on a cols×rows grid over
+// [0,1000]² and a mutable Relation, comparing their answers as it goes.
+func runContinuousBridge(t *testing.T, rng *rand.Rand, cols, rows int, base []twoknn.Point, fresh func() twoknn.Point) {
+	t.Helper()
+	bounds := twoknn.NewRect(0, 0, 1000, 1000)
+	cont, err := continuous.NewRelation(bounds, cols, rows, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,9 +188,9 @@
 // ShardedRelation carry a monotonic dataset epoch (Epoch reads it;
 // Invalidate bumps it by hand, and on a Relation every Insert, Remove and
 // Update batch bumps it automatically);
-// internal/qcache memoizes (epoch, focal, k, shape) →
-// stable-ID answers in a bounded, sharded-lock map whose hit path
-// allocates nothing. Because the epoch is part of the key, invalidation is
+// internal/qcache memoizes (epoch, focal, k, shape) → answers (the
+// serving layer stores rendered rows) in a bounded, sharded-lock map whose
+// hit path allocates nothing. Because the epoch is part of the key, invalidation is
 // O(1) and stale entries can never be served. Cache probes are counted by
 // the CacheHits/CacheMisses stats counters; the serving layer exposes them
 // per dataset on /metrics, serves repeated focals from the cache on the
@@ -282,6 +282,17 @@
 // internal/locality and internal/core, and the hot-path benchmarks
 // (go test -bench 'KNNJoin|Neighborhood') are recorded per PR in the
 // BENCH_PR*.json files at the repository root.
+//
+// The grid, the default index, keeps one occupancy bit per cell in a
+// row-major and a column-major bitset. Its incremental MINDIST/MAXDIST
+// iterators walk each side of a Chebyshev ring as a masked word scan over
+// those bitsets, so they yield only blocks that hold points and an empty
+// stretch of space costs a few word operations. On skewed data, where most
+// cells are empty, this keeps a query's work proportional to the occupied
+// part of its locality (the abl-skew experiment of cmd/knnbench). Empty
+// grid cells are therefore no longer counted in Stats.BlocksScanned. The
+// Block-Marking contour scan is the one consumer that still visits every
+// cell: Theorem 1's closed contour is a property of regions, empty or not.
 //
 // # Memory layout
 //

@@ -29,7 +29,7 @@ import (
 // parallel join, the concurrent-serving contention sweep, and the
 // columnar-layout scan comparison. They run through the same harness as
 // the figures.
-var Ablations = []Experiment{ablPreprocess, ablIndexKinds, ablParallel, ablContention, ablLayout, ablKernel, ablShards, ablCancel, ablBatch, ablCache, ablMutate, ablDist}
+var Ablations = []Experiment{ablPreprocess, ablIndexKinds, ablSkew, ablParallel, ablContention, ablLayout, ablKernel, ablShards, ablCancel, ablBatch, ablCache, ablMutate, ablDist}
 
 // ParallelExperiments are the concurrency-focused subset run by
 // `knnbench -parallel` (the BENCH_PR2.json trajectory).
@@ -108,8 +108,8 @@ var ablIndexKinds = Experiment{
 					focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
 			}})
 			for _, kind := range []string{"quadtree", "kdtree", "rtree"} {
-				outer := variantRelation(kind, "fig19-outer", outerN)
-				inner := variantRelation(kind, "fig19-inner", innerN)
+				outer := variantRelation(kind, fmt.Sprintf("bm/fig19-outer/%d", outerN), BerlinMODPoints("fig19-outer", outerN))
+				inner := variantRelation(kind, fmt.Sprintf("bm/fig19-inner/%d", innerN), BerlinMODPoints("fig19-inner", innerN))
 				plans = append(plans, Plan{Name: kind, Run: func(c *stats.Counters) int {
 					return len(core.SelectInnerJoinBlockMarking(outer, inner,
 						focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
@@ -121,17 +121,16 @@ var ablIndexKinds = Experiment{
 	},
 }
 
-// variantRelation builds (and memoizes) a non-grid relation over a
-// BerlinMOD workload.
-func variantRelation(kind, role string, n int) *core.Relation {
-	key := fmt.Sprintf("%s/%s/%d", kind, role, n)
+// variantRelation builds (and memoizes under kind and key) a non-grid
+// relation over pts.
+func variantRelation(kind, key string, pts []geom.Point) *core.Relation {
+	key = kind + "/" + key
 	datasetCache.Lock()
 	if rel, ok := datasetCache.relations[key]; ok {
 		datasetCache.Unlock()
 		return rel
 	}
 	datasetCache.Unlock()
-	pts := BerlinMODPoints(role, n)
 
 	var (
 		ix  index.Index
@@ -155,6 +154,54 @@ func variantRelation(kind, role string, n int) *core.Relation {
 	datasetCache.relations[key] = rel
 	datasetCache.Unlock()
 	return rel
+}
+
+// --- Ablation: skewed data, grid occupancy vs tree indexes ---
+
+var ablSkew = Experiment{
+	ID:     "abl-skew",
+	Title:  "skewed data: uniform outer over a clustered inner (8 clusters, r=300), grid vs quadtree, k-d tree and R-tree",
+	XLabel: "query",
+	Expect: "the grid's ring walk skips empty cells through its occupancy bitmaps, so on data that leaves most cells empty it no longer trails the adaptive trees; all indexes agree",
+	Cases: func(scale Scale) []Case {
+		outerN, perCluster := 2000, 2500
+		if scale == ScalePaper {
+			perCluster = 25000
+		}
+		outerPts := UniformPoints("skew-outer", outerN)
+		innerPts := ClusteredPoints("skew-inner", 8, perCluster, 300)
+		rels := map[string][2]*core.Relation{
+			"grid": {Relation("un/skew-outer", outerPts), ClusteredRelation("skew-inner", 8, perCluster, 300)},
+		}
+		kinds := []string{"grid", "quadtree", "kdtree", "rtree"}
+		for _, kind := range kinds[1:] {
+			rels[kind] = [2]*core.Relation{
+				variantRelation(kind, fmt.Sprintf("un/skew-outer/%d", outerN), outerPts),
+				variantRelation(kind, fmt.Sprintf("cl/skew-inner/%d", perCluster), innerPts),
+			}
+		}
+		queries := []struct {
+			name string
+			run  func(outer, inner *core.Relation, c *stats.Counters) int
+		}{
+			{"knn-join k=5", func(outer, inner *core.Relation, c *stats.Counters) int {
+				return len(core.KNNJoin(outer, inner, 5, c))
+			}},
+			{"select-inner-join k=5,64", func(outer, inner *core.Relation, c *stats.Counters) int {
+				return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, 5, 64, core.BlockMarkingOptions{}, c))
+			}},
+		}
+		var cases []Case
+		for _, q := range queries {
+			var plans []Plan
+			for _, kind := range kinds {
+				outer, inner, run := rels[kind][0], rels[kind][1], q.run
+				plans = append(plans, Plan{Name: kind, Run: func(c *stats.Counters) int { return run(outer, inner, c) }})
+			}
+			cases = append(cases, Case{X: q.name, Plans: plans})
+		}
+		return cases
+	},
 }
 
 // --- Ablation: parallel kNN-join scaling ---
@@ -582,7 +629,7 @@ var ablCache = Experiment{
 					{Name: "cached", Run: func(c *stats.Counters) int {
 						h := rel.Acquire()
 						defer h.Release()
-						cache := qcache.New(4096)
+						cache := qcache.New[[]int32](4096)
 						total := 0
 						for i := 0; i < queries; i++ {
 							q := focals[i%distinct]

@@ -160,3 +160,24 @@ func TestFig26SmallSlice(t *testing.T) {
 		t.Fatalf("fig26 plans disagree: %d vs %d", n1, n2)
 	}
 }
+
+// TestFig19BlockMarkingPrunes runs the smallest case of Figure 19 on its
+// BerlinMOD workload: Block-Marking must agree with the conceptual plan and
+// its contour preprocessing must still prune outer blocks.
+func TestFig19BlockMarkingPrunes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real dataset generation in -short mode")
+	}
+	defer ResetCache()
+	e, _ := ByID("fig19")
+	c := e.Cases(ScaleCI)[0]
+	var conceptual, bm stats.Counters
+	n1 := c.Plans[0].Run(&conceptual)
+	n2 := c.Plans[1].Run(&bm)
+	if n1 != n2 {
+		t.Fatalf("fig19 plans disagree: %d vs %d", n1, n2)
+	}
+	if bm.BlocksPruned == 0 {
+		t.Fatalf("Block-Marking pruned no blocks on the fig19 workload; counters: %v", &bm)
+	}
+}

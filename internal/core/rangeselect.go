@@ -170,11 +170,13 @@ func markContributingBlocksRange(outer, inner *Relation, rng geom.Rect, kJoin in
 	opt BlockMarkingOptions, c *stats.Counters) []*index.Block {
 
 	exhaustive := opt.Exhaustive || !index.TilesSpace(outer.Ix)
-	total := len(outer.Ix.Blocks())
+	blocks := outer.Ix.Blocks()
+	total := len(blocks)
 	focal := rng.Center()
 
+	// Full tiling, empty cells included: see markContributingBlocks.
 	var contributing []*index.Block
-	scan := index.MinDistOrder(outer.Ix, focal)
+	scan := index.NewMinDistScan(blocks, focal)
 	mSq := -1.0
 	scanned := 0
 	for {

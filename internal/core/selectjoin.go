@@ -268,10 +268,14 @@ func markContributingBlocks(outer, inner *Relation, f geom.Point, fFarthest floa
 	kJoin int, opt BlockMarkingOptions, c *stats.Counters) []*index.Block {
 
 	exhaustive := opt.Exhaustive || !index.TilesSpace(outer.Ix)
-	total := len(outer.Ix.Blocks())
+	blocks := outer.Ix.Blocks()
+	total := len(blocks)
 
+	// The contour argument (Theorem 1) needs every cell of a closed cycle,
+	// empty ones included, to be checked as a region, so the scan walks the
+	// full tiling rather than the index's occupied-blocks iterator.
 	var contributing []*index.Block
-	scan := index.MinDistOrder(outer.Ix, f)
+	scan := index.NewMinDistScan(blocks, f)
 	mSq := -1.0 // squared MAXDIST of the first NC block of the open cycle; <0: no open cycle
 	scanned := 0
 	for {

@@ -16,8 +16,10 @@ import (
 // Unlike the static indexes, Dynamic keeps no relation-wide store: each of
 // its blocks owns a small private geom.PointStore (created through
 // index.NewMutableBlock), so insertions and removals are O(1) block-local
-// operations while scans still run over flat X/Y arrays. Stable IDs are
-// assigned from an insertion counter.
+// operations while scans still run over flat X/Y arrays. A cell's occupancy
+// bit flips on its 0↔1 count transitions, so the ring iterators keep
+// yielding exactly the non-empty cells. Stable IDs are assigned from an
+// insertion counter.
 //
 // Dynamic implements index.Index with one contract deviation: blocks mutate.
 // Queries and mutations must not run concurrently; the continuous monitors
@@ -69,6 +71,9 @@ func (d *Dynamic) Insert(p geom.Point) error {
 		return fmt.Errorf("grid: point %v outside dynamic grid bounds %v", p, d.grid.Bounds())
 	}
 	b.Push(p, d.nextID)
+	if b.Count() == 1 {
+		d.grid.setOccupied(b.ID, true)
+	}
 	d.nextID++
 	d.grid.n++
 	return nil
@@ -85,6 +90,9 @@ func (d *Dynamic) Remove(p geom.Point) bool {
 	for i := range xs {
 		if xs[i] == p.X && ys[i] == p.Y {
 			b.RemoveAt(i)
+			if b.Count() == 0 {
+				d.grid.setOccupied(b.ID, false)
+			}
 			d.grid.n--
 			return true
 		}

@@ -6,8 +6,16 @@
 //
 // The grid covers the bounding box of the data with Cols x Rows equal cells;
 // each non-empty region of space corresponds to exactly one cell, and every
-// cell — including empty ones — is exposed as a block so that MINDIST /
-// MAXDIST contours over the full space are well defined.
+// cell — including empty ones — is exposed as a block through Blocks() so
+// that MINDIST / MAXDIST contours over the full space are well defined.
+//
+// Alongside the cells the grid keeps an occupancy index: one bit per cell,
+// in a row-major and a column-major bitset. The incremental iterators
+// (ringiter.go) walk the sides of each Chebyshev ring as masked word scans
+// over these bitsets, so they yield only blocks that hold points and an
+// empty stretch of space costs a few word operations rather than a heap
+// push and pop per cell. Consumers that need the full tiling (the
+// Block-Marking contour scan) enumerate Blocks() eagerly instead.
 //
 // Construction is a counting sort: one pass tallies points per cell, a
 // prefix sum lays the cells out as contiguous spans of one relation-wide
@@ -19,6 +27,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -34,6 +43,12 @@ type Grid struct {
 	blocks []*index.Block
 	store  *geom.PointStore
 	n      int
+
+	// Occupancy bitsets, one bit per cell: rowBits holds cell (c, r) at bit
+	// r*cols+c (== block ID), colBits at bit c*rows+r. A bit is set exactly
+	// when the cell's block holds at least one point.
+	rowBits []uint64
+	colBits []uint64
 }
 
 var (
@@ -92,13 +107,16 @@ func NewFromStore(st *geom.PointStore, opt Options) (*Grid, error) {
 		cols, rows = side, side
 	}
 
+	words := (cols*rows + 63) / 64
 	g := &Grid{
-		bounds: bounds,
-		cols:   cols,
-		rows:   rows,
-		cellW:  bounds.Width() / float64(cols),
-		cellH:  bounds.Height() / float64(rows),
-		n:      st.Len(),
+		bounds:  bounds,
+		cols:    cols,
+		rows:    rows,
+		cellW:   bounds.Width() / float64(cols),
+		cellH:   bounds.Height() / float64(rows),
+		n:       st.Len(),
+		rowBits: make([]uint64, words),
+		colBits: make([]uint64, words),
 	}
 
 	// Counting sort: tally per cell, prefix-sum into span offsets, scatter.
@@ -115,6 +133,9 @@ func NewFromStore(st *geom.PointStore, opt Options) (*Grid, error) {
 	for id, c := range counts {
 		offsets[id] = off
 		off += c
+		if c > 0 {
+			g.setOccupied(id, true)
+		}
 	}
 	g.store = &geom.PointStore{
 		Xs:  make([]float64, st.Len()),
@@ -155,6 +176,36 @@ func NewFromStore(st *geom.PointStore, opt Options) (*Grid, error) {
 		}
 	}
 	return g, nil
+}
+
+// setOccupied sets or clears cell id's bit in both occupancy bitsets.
+func (g *Grid) setOccupied(id int, on bool) {
+	r, c := id/g.cols, id%g.cols
+	setBit(g.rowBits, id, on)
+	setBit(g.colBits, c*g.rows+r, on)
+}
+
+func setBit(set []uint64, i int, on bool) {
+	if on {
+		set[i>>6] |= 1 << (uint(i) & 63)
+	} else {
+		set[i>>6] &^= 1 << (uint(i) & 63)
+	}
+}
+
+// nextSet returns the smallest set bit of set in [i, hi], or -1 when there
+// is none. A run of empty cells costs one word operation per 64 cells.
+func nextSet(set []uint64, i, hi int) int {
+	for i <= hi {
+		if w := set[i>>6] >> (uint(i) & 63); w != 0 {
+			if j := i + bits.TrailingZeros64(w); j <= hi {
+				return j
+			}
+			return -1
+		}
+		i = (i | 63) + 1
+	}
+	return -1
 }
 
 // cellIndex returns the cell holding coordinate (x, y), or -1 when it lies

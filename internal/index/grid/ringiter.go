@@ -14,12 +14,28 @@ import (
 // the paper does — touches O(popped) cells instead of all of them, which is
 // what makes per-query cost proportional to the locality size.
 //
+// The iterators yield exactly the blocks that hold points, in (key, block
+// ID) order. Each side of a ring is a contiguous bit run in one of the
+// grid's occupancy bitsets (rows in the row-major set, columns in the
+// column-major set), so expanding a ring is a masked word scan that visits
+// only occupied cells: an empty cell is never pushed, popped or keyed, and
+// an empty ring costs a few word operations. Consumers that need every cell
+// of the tiling, empty ones included, scan Blocks() eagerly instead
+// (index.NewMinDistScan).
+//
 // Correctness rests on one bound: every cell in Chebyshev ring r around the
 // query point's (clamped) cell is at least (r-1) whole cells away from the
 // query point along some axis, so both its MINDIST and its MAXDIST from the
-// query point are at least (r-1)·min(cellW, cellH). A heap entry may
-// therefore be popped as soon as its key is no larger than that bound for
-// the first unexpanded ring.
+// query point are at least (r-1)·min(cellW, cellH). Ring 1 has a sharper
+// bound: its cells share an edge or corner with the query point's cell, so
+// their keys are at least the distance from the query point to the nearest
+// edge of its own cell — computed from the very same edge coordinates, so
+// the bound holds exactly in floating point. A heap entry may therefore be
+// popped as soon as its key is strictly below the bound for the first
+// unexpanded ring; a key equal to the bound waits for the ring, whose cells
+// may tie it with a smaller block ID. Skipping empty cells removes entries
+// from the order without reordering the rest, so the occupied blocks come
+// out in the same relative order as under a full enumeration.
 //
 // The heap is a concrete implementation (no container/heap) and the
 // iterator supports Reset, so a pooled iterator performs steady-state
@@ -49,6 +65,7 @@ type ringIter struct {
 	nextRing int     // first ring not yet expanded
 	maxRing  int     // last ring that intersects the grid
 	minDim   float64 // min(cellW, cellH)
+	edgeSq   float64 // squared distance from p to its cell's nearest edge; 0 outside
 
 	h index.MinHeap[ringEntry]
 }
@@ -83,42 +100,74 @@ func (it *ringIter) Reset(p geom.Point) {
 	it.p = p
 	it.nextRing = 0
 	// The farthest ring that still holds grid cells.
-	it.maxRing = maxInt(maxInt(it.cx, g.cols-1-it.cx), maxInt(it.cy, g.rows-1-it.cy))
+	it.maxRing = max(it.cx, g.cols-1-it.cx, it.cy, g.rows-1-it.cy)
 	it.h = it.h[:0]
+	// A negative distance (p outside its clamped cell) or a NaN one leaves
+	// the ring-1 bound at 0.
+	own := g.blocks[it.cy*g.cols+it.cx].Bounds
+	it.edgeSq = 0
+	if d := min(p.X-own.MinX, own.MaxX-p.X, p.Y-own.MinY, own.MaxY-p.Y); d > 0 {
+		it.edgeSq = d * d
+	}
 }
 
 // ringBoundSq is the (squared) lower bound on the metric key of any cell in
 // ring r or beyond.
 func (it *ringIter) ringBoundSq(r int) float64 {
-	if r <= 0 {
+	switch r {
+	case 0:
 		return 0
+	case 1:
+		return it.edgeSq
 	}
 	d := float64(r-1) * it.minDim
 	return d * d
 }
 
-// expandRing pushes all grid cells of Chebyshev ring r onto the heap.
+// expandRing pushes the occupied grid cells of Chebyshev ring r onto the
+// heap: the top and bottom rows through the row-major occupancy bitset, the
+// left and right columns (corners excluded) through the column-major one.
 func (it *ringIter) expandRing(r int) {
 	g := it.g
-	push := func(c, row int) {
-		if c < 0 || c >= g.cols || row < 0 || row >= g.rows {
-			return
-		}
-		b := g.blocks[row*g.cols+c]
-		it.h.Push(ringEntry{block: b, key: it.keyFn(b.Bounds, it.p)})
+	c0, c1 := max(it.cx-r, 0), min(it.cx+r, g.cols-1)
+	if row := it.cy - r; row >= 0 {
+		it.pushRow(row, c0, c1)
+	}
+	if row := it.cy + r; r > 0 && row < g.rows {
+		it.pushRow(row, c0, c1)
 	}
 	if r == 0 {
-		push(it.cx, it.cy)
 		return
 	}
-	for c := it.cx - r; c <= it.cx+r; c++ {
-		push(c, it.cy-r)
-		push(c, it.cy+r)
+	r0, r1 := max(it.cy-r+1, 0), min(it.cy+r-1, g.rows-1)
+	if col := it.cx - r; col >= 0 {
+		it.pushCol(col, r0, r1)
 	}
-	for row := it.cy - r + 1; row <= it.cy+r-1; row++ {
-		push(it.cx-r, row)
-		push(it.cx+r, row)
+	if col := it.cx + r; col < g.cols {
+		it.pushCol(col, r0, r1)
 	}
+}
+
+// pushRow pushes the occupied cells (c0..c1, row).
+func (it *ringIter) pushRow(row, c0, c1 int) {
+	g := it.g
+	base := row * g.cols
+	for i := nextSet(g.rowBits, base+c0, base+c1); i >= 0; i = nextSet(g.rowBits, i+1, base+c1) {
+		it.push(g.blocks[i])
+	}
+}
+
+// pushCol pushes the occupied cells (col, r0..r1).
+func (it *ringIter) pushCol(col, r0, r1 int) {
+	g := it.g
+	base := col * g.rows
+	for i := nextSet(g.colBits, base+r0, base+r1); i >= 0; i = nextSet(g.colBits, i+1, base+r1) {
+		it.push(g.blocks[(i-base)*g.cols+col])
+	}
+}
+
+func (it *ringIter) push(b *index.Block) {
+	it.h.Push(ringEntry{block: b, key: it.keyFn(b.Bounds, it.p)})
 }
 
 // Next implements index.BlockIter.
@@ -126,7 +175,7 @@ func (it *ringIter) Next() (*index.Block, float64, bool) {
 	for {
 		// Pop when the best candidate provably precedes every undiscovered
 		// cell; otherwise expand the next ring.
-		if len(it.h) > 0 && (it.nextRing > it.maxRing || it.h[0].key <= it.ringBoundSq(it.nextRing)) {
+		if len(it.h) > 0 && (it.nextRing > it.maxRing || it.h[0].key < it.ringBoundSq(it.nextRing)) {
 			e := it.h.Pop()
 			return e.block, e.key, true
 		}
@@ -146,11 +195,4 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -29,13 +29,20 @@ type ReusableIter interface {
 // provide lazy MINDIST/MAXDIST orderings. Grid indexes enumerate cells in
 // expanding rings around the query point, touching O(popped) cells instead
 // of all of them.
+//
+// An incremental iterator yields every block that holds points, in (key,
+// block ID) order, and may omit blocks that hold none: the grid skips its
+// empty cells. Consumers that must see every region of a space-tiling
+// partition, empty ones included (Block-Marking's contour scan), order
+// Blocks() eagerly with NewMinDistScan instead.
 type IncrementalScanner interface {
 	NewMinDistIter(p geom.Point) BlockIter
 	NewMaxDistIter(p geom.Point) BlockIter
 }
 
 // MinDistOrder returns an iterator over ix's blocks in increasing MINDIST
-// order from p, incremental when the index supports it.
+// order from p, incremental when the index supports it (and then possibly
+// without empty blocks; see IncrementalScanner).
 func MinDistOrder(ix Index, p geom.Point) BlockIter {
 	if inc, ok := ix.(IncrementalScanner); ok {
 		return inc.NewMinDistIter(p)

@@ -1,14 +1,15 @@
 // Package qcache implements a bounded, sharded-lock memoization cache for
 // query results, keyed by (dataset epoch, focal point, k, query shape) and
-// holding stable-ID result slices. It exploits the repeated-focal-point skew
-// of production serving workloads: many users ask near-identical questions
-// of the same dataset, and an immutable relation answers them identically
-// until its epoch changes.
+// generic over the stored value (the server stores rendered result rows).
+// It exploits the repeated-focal-point skew of production serving
+// workloads: many users ask near-identical questions of the same dataset,
+// and an immutable relation answers them identically until its epoch
+// changes.
 //
 // The epoch is part of the key, so invalidation is free: bumping a
 // relation's epoch (Relation.Invalidate, the hook the ROADMAP's mutability
 // work will drive) makes every cached entry unreachable, and the bounded
-// eviction recycles the stale slots. Hits return the stored slice without
+// eviction recycles the stale slots. Hits return the stored value without
 // copying or allocating; callers must treat it as immutable.
 package qcache
 
@@ -42,28 +43,28 @@ type Key struct {
 // probes rarely contend.
 const nShards = 16
 
-type shard struct {
+type shard[V any] struct {
 	mu sync.Mutex
-	m  map[Key][]int32
+	m  map[Key]V
 }
 
-// Cache is a bounded memo from Key to stable-ID result slices, safe for
-// concurrent use.
-type Cache struct {
+// Cache is a bounded memo from Key to result values, safe for concurrent
+// use.
+type Cache[V any] struct {
 	perShard int
-	shards   [nShards]shard
+	shards   [nShards]shard[V]
 }
 
 // New returns a cache bounded at roughly capacity entries (split evenly
 // across the lock shards). capacity <= 0 selects a default of 4096.
-func New(capacity int) *Cache {
+func New[V any](capacity int) *Cache[V] {
 	if capacity <= 0 {
 		capacity = 4096
 	}
 	per := (capacity + nShards - 1) / nShards
-	c := &Cache{perShard: per}
+	c := &Cache[V]{perShard: per}
 	for i := range c.shards {
-		c.shards[i].m = make(map[Key][]int32, per)
+		c.shards[i].m = make(map[Key]V, per)
 	}
 	return c
 }
@@ -90,19 +91,19 @@ func (k Key) hash() uint64 {
 	return h
 }
 
-// Get returns the cached IDs for key. The returned slice is shared — the
-// caller must not mutate it. The hit path performs no allocation.
-func (c *Cache) Get(key Key) ([]int32, bool) {
+// Get returns the cached value for key. The value is shared — the caller
+// must not mutate it. The hit path performs no allocation.
+func (c *Cache[V]) Get(key Key) (V, bool) {
 	s := &c.shards[key.hash()%nShards]
 	s.mu.Lock()
-	ids, ok := s.m[key]
+	v, ok := s.m[key]
 	s.mu.Unlock()
-	return ids, ok
+	return v, ok
 }
 
-// Put stores ids under key, evicting an arbitrary resident entry when the
-// key's shard is full. The cache takes ownership of ids.
-func (c *Cache) Put(key Key, ids []int32) {
+// Put stores v under key, evicting an arbitrary resident entry when the
+// key's shard is full. The cache takes ownership of v.
+func (c *Cache[V]) Put(key Key, v V) {
 	s := &c.shards[key.hash()%nShards]
 	s.mu.Lock()
 	if _, resident := s.m[key]; !resident && len(s.m) >= c.perShard {
@@ -111,12 +112,12 @@ func (c *Cache) Put(key Key, ids []int32) {
 			break
 		}
 	}
-	s.m[key] = ids
+	s.m[key] = v
 	s.mu.Unlock()
 }
 
 // Len returns the number of resident entries.
-func (c *Cache) Len() int {
+func (c *Cache[V]) Len() int {
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]

@@ -10,7 +10,7 @@ func key(epoch uint64, fx, fy float64, k int) Key {
 }
 
 func TestGetPut(t *testing.T) {
-	c := New(64)
+	c := New[[]int32](64)
 	k1 := key(1, 5000, 5000, 10)
 	if _, ok := c.Get(k1); ok {
 		t.Fatal("empty cache reported a hit")
@@ -44,7 +44,7 @@ func TestGetPut(t *testing.T) {
 // TestEpochInvalidation is the invalidation contract: entries of a stale
 // epoch become unreachable because the epoch is part of the key.
 func TestEpochInvalidation(t *testing.T) {
-	c := New(64)
+	c := New[[]int32](64)
 	c.Put(key(1, 1, 2, 5), []int32{0})
 	if _, ok := c.Get(key(2, 1, 2, 5)); ok {
 		t.Fatal("bumped epoch still hits the stale entry")
@@ -59,7 +59,7 @@ func TestEpochInvalidation(t *testing.T) {
 // exceeds the rounded-up shard budget no matter how many keys are inserted.
 func TestBounded(t *testing.T) {
 	const capacity = 64
-	c := New(capacity)
+	c := New[[]int32](capacity)
 	perShard := (capacity + nShards - 1) / nShards
 	for i := 0; i < 100*capacity; i++ {
 		c.Put(key(1, float64(i), float64(i%7), i%13+1), []int32{int32(i)})
@@ -74,7 +74,7 @@ func TestBounded(t *testing.T) {
 
 func TestDefaultCapacity(t *testing.T) {
 	for _, capacity := range []int{0, -5} {
-		if c := New(capacity); c.perShard != 4096/nShards {
+		if c := New[[]int32](capacity); c.perShard != 4096/nShards {
 			t.Fatalf("New(%d): per-shard budget %d", capacity, c.perShard)
 		}
 	}
@@ -83,7 +83,7 @@ func TestDefaultCapacity(t *testing.T) {
 // TestGetAllocs is the acceptance criterion on the hit path: a probe that
 // hits allocates nothing.
 func TestGetAllocs(t *testing.T) {
-	c := New(64)
+	c := New[[]int32](64)
 	k1 := key(1, 5000, 5000, 10)
 	c.Put(k1, []int32{1, 2, 3})
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -99,7 +99,7 @@ func TestGetAllocs(t *testing.T) {
 // TestConcurrent drives overlapping Get/Put/Len from many goroutines; the
 // -race build is the assertion.
 func TestConcurrent(t *testing.T) {
-	c := New(128)
+	c := New[[]int32](128)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

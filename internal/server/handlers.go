@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 
 	twoknn "repro"
 	"repro/internal/qcache"
@@ -114,8 +115,9 @@ func (s *Server) handleKNNSelectBatch(w http.ResponseWriter, r *http.Request) {
 
 // evalKNNSelectBatch is the batch route's leader evaluation: probe the
 // dataset's epoch-keyed result cache per focal, run the engine's batched
-// driver once over all misses, store their IDs back, and render. EXPLAIN
-// requests bypass the cache so the rendered plan reflects a real evaluation.
+// driver once over all misses, render them and store the rendered rows back.
+// EXPLAIN requests bypass the cache so the rendered plan reflects a real
+// evaluation.
 func (s *Server) evalKNNSelectBatch(ctx context.Context, d *dataset, req *KNNSelectBatchRequest) (QueryResponse, error) {
 	var st twoknn.Stats
 	opts, explain := queryOpts(ctx, &req.Common, &st)
@@ -124,24 +126,19 @@ func (s *Server) evalKNNSelectBatch(ctx context.Context, d *dataset, req *KNNSel
 	missIdx := make([]int, 0, len(req.Focals))
 	missFocals := make([]twoknn.Point, 0, len(req.Focals))
 	var epoch uint64
-	var rt *renderTable
 	useCache := d != nil && !req.Explain
 	if useCache {
 		epoch = d.src.Epoch()
-		rt = d.render()
+	}
+	cacheKey := func(f PointArg) qcache.Key {
+		return qcache.Key{Epoch: epoch, FX: f.X, FY: f.Y, K: req.K, Shape: qcache.ShapeKNNSelect}
 	}
 	for i, f := range req.Focals {
 		if useCache {
-			key := qcache.Key{Epoch: epoch, FX: f.X, FY: f.Y, K: req.K, Shape: qcache.ShapeKNNSelect}
-			if ids, ok := d.cache.Get(key); ok {
-				// An ID the table no longer resolves means a mutation slid in
-				// between the epoch read and the table load; fall through to a
-				// real evaluation rather than render a stale row.
-				if rows, ok := rt.rows(ids); ok {
-					st.AddCacheHit()
-					batches[i] = rows
-					continue
-				}
+			if rows, ok := d.cache.Get(cacheKey(f)); ok {
+				st.AddCacheHit()
+				batches[i] = rows
+				continue
 			}
 			st.AddCacheMiss()
 		}
@@ -157,20 +154,10 @@ func (s *Server) evalKNNSelectBatch(ctx context.Context, d *dataset, req *KNNSel
 		for j, i := range missIdx {
 			rows := pointRows(d, res[j])
 			batches[i] = rows
-			if useCache {
-				ids := make([]int32, len(rows))
-				cacheable := true
-				for r, row := range rows {
-					if row.ID < 0 {
-						cacheable = false // unresolvable point; don't memoize
-						break
-					}
-					ids[r] = row.ID
-				}
-				if cacheable {
-					f := req.Focals[i]
-					d.cache.Put(qcache.Key{Epoch: epoch, FX: f.X, FY: f.Y, K: req.K, Shape: qcache.ShapeKNNSelect}, ids)
-				}
+			// A row the render table could not resolve (ID -1) is never
+			// memoized: a later epoch may resolve it.
+			if useCache && !slices.ContainsFunc(rows, func(r PointRow) bool { return r.ID < 0 }) {
+				d.cache.Put(cacheKey(req.Focals[i]), rows)
 			}
 		}
 	}

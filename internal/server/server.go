@@ -95,10 +95,10 @@ type dataset struct {
 	// past its tag, and rebuilt lazily by render(). Never nil after Register.
 	table atomic.Pointer[renderTable]
 
-	// cache memoizes per-focal batch results keyed by (epoch, focal, k,
-	// shape); see internal/qcache. Entries from a stale epoch become
-	// unreachable the moment src's epoch is bumped.
-	cache *qcache.Cache
+	// cache memoizes per-focal batch results, as rendered rows, keyed by
+	// (epoch, focal, k, shape); see internal/qcache. Entries from a stale
+	// epoch become unreachable the moment src's epoch is bumped.
+	cache *qcache.Cache[[]PointRow]
 
 	// stats accumulates the engine's operation counters across every
 	// request served from this dataset (atomic; see twoknn.WithStats).
@@ -106,28 +106,21 @@ type dataset struct {
 }
 
 // renderTable resolves result points to wire rows for one epoch of a
-// dataset: coordinates → smallest stable ID (so co-located duplicates render
-// deterministically no matter which copy an algorithm returned), and stable
-// ID → row for cache hits, which rebuild responses without touching the
-// engine. Mutable relations retire a table on every mutation batch; static
-// and sharded sources keep their Register-time table forever.
+// dataset: coordinates → smallest stable ID, so co-located duplicates render
+// deterministically no matter which copy an algorithm returned. Mutable
+// relations retire a table on every mutation batch; static and sharded
+// sources keep their Register-time table forever.
 type renderTable struct {
-	epoch    uint64
-	idOf     map[twoknn.Point]int32
-	rowsByID map[int32]PointRow
+	epoch uint64
+	idOf  map[twoknn.Point]int32
 }
 
 func newRenderTable(epoch uint64, pts []twoknn.Point, ids []int32) *renderTable {
-	t := &renderTable{
-		epoch:    epoch,
-		idOf:     make(map[twoknn.Point]int32, len(pts)),
-		rowsByID: make(map[int32]PointRow, len(pts)),
-	}
+	t := &renderTable{epoch: epoch, idOf: make(map[twoknn.Point]int32, len(pts))}
 	for i, p := range pts {
 		if old, ok := t.idOf[p]; !ok || ids[i] < old {
 			t.idOf[p] = ids[i]
 		}
-		t.rowsByID[ids[i]] = PointRow{ID: ids[i], X: p.X, Y: p.Y}
 	}
 	return t
 }
@@ -139,21 +132,6 @@ func (t *renderTable) row(p twoknn.Point) PointRow {
 		id = -1
 	}
 	return PointRow{ID: id, X: p.X, Y: p.Y}
-}
-
-// rows resolves cached stable IDs back to wire rows; ok is false when any ID
-// is not in this table (the live set moved on), in which case the caller
-// treats the cache entry as a miss and re-evaluates.
-func (t *renderTable) rows(ids []int32) ([]PointRow, bool) {
-	rows := make([]PointRow, len(ids))
-	for i, id := range ids {
-		r, ok := t.rowsByID[id]
-		if !ok {
-			return nil, false
-		}
-		rows[i] = r
-	}
-	return rows, true
 }
 
 // render returns a table no older than the epoch current when it was called,
@@ -306,7 +284,7 @@ func (s *Server) RegisterWithOptions(name string, src twoknn.Source, o DatasetOp
 	d := &dataset{
 		name:           name,
 		src:            src,
-		cache:          qcache.New(o.CacheCapacity),
+		cache:          qcache.New[[]PointRow](o.CacheCapacity),
 		defaultTimeout: time.Duration(o.DefaultTimeoutMS) * time.Millisecond,
 		maxTimeout:     time.Duration(o.MaxTimeoutMS) * time.Millisecond,
 		retryAfter:     time.Duration(o.RetryAfterMS) * time.Millisecond,

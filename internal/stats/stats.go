@@ -32,7 +32,9 @@ type Counters struct {
 	Neighborhoods int64
 
 	// BlocksScanned is the number of blocks popped from MINDIST/MAXDIST
-	// scans across all phases.
+	// scans across all phases. The grid's incremental iterators yield only
+	// non-empty cells, so empty grid cells are not counted, except by the
+	// Block-Marking contour scan, which checks every cell of the tiling.
 	BlocksScanned int64
 
 	// PointsCompared is the number of candidate points examined during
