@@ -14,8 +14,8 @@
 //	    -shard 0 -shards 3 -shard-policy hash -index grid
 //
 // The process serves /shard/v1/{info,blocks,block,neighborhood,
-// neighborhood-within,count-closer} plus /healthz and /metrics, and drains
-// cleanly on SIGINT/SIGTERM.
+// neighborhood-within,neighborhood-batch,count-closer} plus /healthz and
+// /metrics, and drains cleanly on SIGINT/SIGTERM.
 package main
 
 import (

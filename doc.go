@@ -242,7 +242,11 @@
 // path; squared distances and coordinates cross the wire as shortest
 // round-trip JSON float64s, so remote answers are byte-identical to local
 // ones, and Block-Marking's exclusions double as network-transfer pruning.
-// Every shard process loads the full dataset spec and partitions locally
+// Remote probes are issued per scatter unit and round, not per tuple: the
+// points of one outer block (or one chunk of selected points, batch focals
+// or chained-join misses) go to each shard as one batched request per
+// MINDIST round, with the same per-tuple shard skip, so a unit costs at
+// most one round trip per shard per round. Every shard process loads the full dataset spec and partitions locally
 // with the same deterministic policy, so stable IDs remain global input
 // positions with no shard-assignment service.
 //

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -17,25 +18,34 @@ import (
 
 // --- Ablation: remote scatter/gather vs the in-process layouts ---
 
-// ablDist prices the PR 10 process boundary: the same kNN-select stream
-// (16 focals, k=10) runs over the in-process sharded group, over loopback
-// transports (the ShardTransport seam with zero serialization), over real
-// HTTP/JSON endpoints, and over the same HTTP fleet with one artificially
-// slow shard (injected per-probe latency) — the straggler cost the
-// robustness envelope's hedging exists to bound. Per-case cardinality
+// ablDist prices the PR 10 process boundary on two workloads. The kNN-select
+// stream (16 focals, k=10) runs over the in-process sharded group, over
+// loopback transports (the ShardTransport seam with zero serialization),
+// over real HTTP/JSON endpoints, and over the same HTTP fleet with one
+// artificially slow shard (injected per-probe latency) — the straggler cost
+// the robustness envelope's hedging exists to bound. The kNN-join rows
+// ("S/join") run a 200-point local outer against the same four layouts of
+// the inner: the probes of each outer block go out as batched rounds, at
+// most one round trip per shard per round. Every remote plan reports its
+// envelope attempts per query next to its latency, and per-case cardinality
 // agreement across all four plans doubles as a wire-exactness check at
 // benchmark scale.
 var ablDist = Experiment{
 	ID:     "abl-dist",
-	Title:  "remote scatter/gather: kNN-select stream over in-process shards vs loopback vs HTTP transports (k=10, BerlinMOD)",
+	Title:  "remote scatter/gather: kNN-select stream and 200-point kNN-join over in-process shards vs loopback vs HTTP transports (k=10, BerlinMOD)",
 	XLabel: "shards",
-	Expect: "identical result cardinality on every transport; loopback tracks in-process, HTTP adds per-probe wire cost, a slow shard dominates the stream latency",
+	Expect: "identical result cardinality on every transport; loopback tracks in-process, HTTP adds per-round-trip wire cost, a slow shard dominates the latency; a join costs a few round trips per outer block, not one per outer point",
 	Cases: func(scale Scale) []Case {
 		n := 20000
 		if scale == ScalePaper {
 			n = 100000
 		}
 		pts := BerlinMODPoints("fig19-outer", n)
+		outerIx, err := grid.New(BerlinMODPoints("abl-dist-join-outer", 200), grid.Options{TargetPerCell: DefaultPerCell, Bounds: Bounds})
+		if err != nil {
+			panic(fmt.Sprintf("bench: building join outer: %v", err)) // fixed config; cannot fail
+		}
+		outer := shard.SingleGroup(core.NewRelation(outerIx))
 
 		// The query stream: a fixed diagonal of focals across the region.
 		focals := make([]geom.Point, 16)
@@ -51,6 +61,11 @@ var ablDist = Experiment{
 				return total
 			}
 		}
+		join := func(g shard.Group) func(c *stats.Counters) int {
+			return func(c *stats.Counters) int {
+				return len(shard.Join(nil, outer, g, kDefault, 1, c))
+			}
+		}
 
 		build := func(st *geom.PointStore) (index.Index, error) {
 			if st.Len() == 0 {
@@ -59,7 +74,7 @@ var ablDist = Experiment{
 			return grid.NewFromStore(st, grid.Options{TargetPerCell: DefaultPerCell})
 		}
 
-		var cases []Case
+		var streams, joins []Case
 		for _, s := range ShardCounts {
 			rel, err := shard.New(pts, s, shard.PolicyHash, 0, build)
 			if err != nil {
@@ -68,7 +83,6 @@ var ablDist = Experiment{
 
 			// One ShardServer per shard backs both remote transports; the
 			// HTTP plan serves it over a real socket.
-			servers := make([]*remote.ShardServer, s)
 			loops := make([][]remote.ShardTransport, s)
 			https := make([][]remote.ShardTransport, s)
 			var slowEndpoint string
@@ -76,7 +90,6 @@ var ablDist = Experiment{
 				srv := remote.NewShardServer(rel.Shard(i), remote.ShardServerConfig{
 					Name: "abl-dist", Shard: i, Shards: s, Index: "grid",
 				})
-				servers[i] = srv
 				loops[i] = []remote.ShardTransport{remote.NewLoopback(srv, "")}
 				hs := httptest.NewServer(srv)
 				https[i] = []remote.ShardTransport{remote.NewHTTPTransport(hs.URL, nil)}
@@ -84,36 +97,49 @@ var ablDist = Experiment{
 					slowEndpoint = hs.URL
 				}
 			}
-			dial := func(tps [][]remote.ShardTransport) shard.Group {
+			dial := func(tps [][]remote.ShardTransport) (shard.Group, func() int64) {
 				members, err := remote.Dial(context.Background(), tps, remote.Options{})
 				if err != nil {
 					panic(fmt.Sprintf("bench: dialing remote group: %v", err)) // in-process endpoints; cannot fail
 				}
-				return remote.NewGroup(members, nil)
+				attempts := func() int64 {
+					total := int64(0)
+					for _, m := range members {
+						for _, ep := range m.NetStats().Endpoints {
+							total += ep.Attempts
+						}
+					}
+					return total
+				}
+				return remote.NewGroup(members, nil), attempts
 			}
-			inproc, loopback, http := rel.Group(), dial(loops), dial(https)
-
-			cases = append(cases, Case{
-				X: fmt.Sprintf("%d", s),
-				Plans: []Plan{
-					{Name: "in-process", Run: stream(inproc)},
-					{Name: "loopback", Run: stream(loopback)},
-					{Name: "http", Run: stream(http)},
-					{Name: "http-slow1", Run: func(c *stats.Counters) int {
-						// Shard 0 answers 2ms late on every probe: the
-						// straggler profile of an overloaded replica.
-						fault.Arm(&fault.Injector{DelayProbe: func(ep string) time.Duration {
-							if ep == slowEndpoint {
-								return 2 * time.Millisecond
-							}
-							return 0
-						}})
-						defer fault.Disarm()
-						return stream(http)(c)
-					}},
-				},
-			})
+			loopback, loopTrips := dial(loops)
+			http, httpTrips := dial(https)
+			// Shard 0 answers 2ms late on every round trip: the straggler
+			// profile of an overloaded replica.
+			slow1 := func(run func(c *stats.Counters) int) func(c *stats.Counters) int {
+				return func(c *stats.Counters) int {
+					fault.Arm(&fault.Injector{DelayProbe: func(ep string) time.Duration {
+						if ep == slowEndpoint {
+							return 2 * time.Millisecond
+						}
+						return 0
+					}})
+					defer fault.Disarm()
+					return run(c)
+				}
+			}
+			plans := func(workload func(g shard.Group) func(c *stats.Counters) int, queries int) []Plan {
+				return []Plan{
+					{Name: "in-process", Run: workload(rel.Group())},
+					{Name: "loopback", Run: workload(loopback), RoundTrips: loopTrips, Queries: queries},
+					{Name: "http", Run: workload(http), RoundTrips: httpTrips, Queries: queries},
+					{Name: "http-slow1", Run: slow1(workload(http)), RoundTrips: httpTrips, Queries: queries},
+				}
+			}
+			streams = append(streams, Case{X: fmt.Sprintf("%d", s), Plans: plans(stream, len(focals))})
+			joins = append(joins, Case{X: fmt.Sprintf("%d/join", s), Plans: plans(join, 1)})
 		}
-		return cases
+		return append(streams, joins...)
 	},
 }

@@ -15,6 +15,15 @@ import (
 type Plan struct {
 	Name string
 	Run  func(c *stats.Counters) int
+
+	// RoundTrips, when set, returns the cumulative remote envelope attempts
+	// of the plan's operands; the runner reports the last run's count per
+	// query next to its latency.
+	RoundTrips func() int64
+
+	// Queries is the number of queries one Run issues (0 means 1), the
+	// divisor of the per-query round-trip figure.
+	Queries int
 }
 
 // Case is one x-axis position of an experiment's sweep.

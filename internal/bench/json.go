@@ -58,6 +58,10 @@ type JSONPlan struct {
 	NsPerOp int64           `json:"ns_per_op"`
 	Result  int             `json:"result_cardinality"`
 	Stats   *stats.Counters `json:"stats,omitempty"`
+
+	// RoundTripsPerQuery is the remote envelope attempts per query, for
+	// plans over remote operands.
+	RoundTripsPerQuery *float64 `json:"round_trips_per_query,omitempty"`
 }
 
 // NewJSONReport converts measured results into the machine-readable report.
@@ -84,12 +88,16 @@ func NewJSONReport(scale Scale, results []*Result) *JSONReport {
 		for _, row := range res.Rows {
 			jr := JSONRow{X: row.X}
 			for _, name := range names {
-				jr.Plans = append(jr.Plans, JSONPlan{
+				jp := JSONPlan{
 					Name:    name,
 					NsPerOp: row.Times[name].Nanoseconds(),
 					Result:  row.Counts[name],
 					Stats:   row.Stats[name],
-				})
+				}
+				if rt, ok := row.RoundTrips[name]; ok {
+					jp.RoundTripsPerQuery = &rt
+				}
+				jr.Plans = append(jr.Plans, jp)
 			}
 			je.Rows = append(je.Rows, jr)
 		}

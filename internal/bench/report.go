@@ -29,6 +29,10 @@ type ResultRow struct {
 
 	// Stats maps plan name to the operation counters of the last run.
 	Stats map[string]*stats.Counters
+
+	// RoundTrips maps the name of a plan with remote operands to the
+	// envelope attempts per query of its last run.
+	RoundTrips map[string]float64
 }
 
 // Run executes an experiment at the given scale and returns the measured
@@ -49,12 +53,20 @@ func Run(e Experiment, scale Scale) (*Result, error) {
 			best := time.Duration(0)
 			count := 0
 			var ctr *stats.Counters
+			var trips int64
 			budget := time.Second
 			for rep := 0; rep < 7; rep++ {
 				ctr = &stats.Counters{}
+				var trips0 int64
+				if p.RoundTrips != nil {
+					trips0 = p.RoundTrips()
+				}
 				start := time.Now()
 				count = p.Run(ctr)
 				elapsed := time.Since(start)
+				if p.RoundTrips != nil {
+					trips = p.RoundTrips() - trips0
+				}
 				if rep == 0 || elapsed < best {
 					best = elapsed
 				}
@@ -66,6 +78,12 @@ func Run(e Experiment, scale Scale) (*Result, error) {
 			row.Times[p.Name] = best
 			row.Counts[p.Name] = count
 			row.Stats[p.Name] = ctr
+			if p.RoundTrips != nil {
+				if row.RoundTrips == nil {
+					row.RoundTrips = make(map[string]float64)
+				}
+				row.RoundTrips[p.Name] = float64(trips) / float64(max(1, p.Queries))
+			}
 		}
 		if err := checkAgreement(e.ID, c.X, row.Counts); err != nil {
 			return nil, err
@@ -153,6 +171,18 @@ func (r *Result) Format() string {
 	writeLine(header)
 	for _, line := range cells {
 		writeLine(line)
+	}
+	for _, row := range r.Rows {
+		if len(row.RoundTrips) == 0 {
+			continue
+		}
+		fmt.Fprintf(&sb, "round trips/query at %s=%s:", r.Experiment.XLabel, row.X)
+		for _, n := range names {
+			if rt, ok := row.RoundTrips[n]; ok {
+				fmt.Fprintf(&sb, " %s=%.1f", n, rt)
+			}
+		}
+		sb.WriteString("\n")
 	}
 	return sb.String()
 }

@@ -303,6 +303,36 @@ func (p *remoteProber) NeighborhoodWithinSq(q geom.Point, k int, thresholdSq flo
 	return p.probeNbr(q, &ProbeRequest{X: q.X, Y: q.Y, K: k, ThresholdSq: thresholdSq}, OpWithin, c)
 }
 
+// NeighborhoodBatch implements shard.Prober: one envelope call per chunk of
+// at most maxBatchFocals focals. In partial mode a failed chunk contributes
+// empty spans, as a failed single probe contributes an empty neighborhood.
+func (p *remoteProber) NeighborhoodBatch(focals []geom.Point, k int, thresholdsSq []float64, dst *shard.Spans, c *stats.Counters) {
+	for start := 0; start < len(focals); start += maxBatchFocals {
+		chunk := focals[start:min(start+maxBatchFocals, len(focals))]
+		req := &BatchProbeRequest{
+			Xs: make([]float64, len(chunk)),
+			Ys: make([]float64, len(chunk)),
+			K:  k,
+		}
+		for i, f := range chunk {
+			req.Xs[i], req.Ys[i] = f.X, f.Y
+		}
+		if thresholdsSq != nil {
+			req.ThresholdsSq = thresholdsSq[start : start+len(chunk)]
+		}
+		resp, err := p.m.rs.ProbeBatch(p.ctx, req)
+		if err != nil {
+			p.m.fail(p.ctx, p.coll, err)
+			for range chunk {
+				dst.EndSpan()
+			}
+			continue
+		}
+		foldStats(c, resp.Stats)
+		resp.appendSpans(dst)
+	}
+}
+
 // CountStrictlyCloser implements shard.Prober. In partial mode a missing
 // shard counts zero — the conservative direction: the Counting prune then
 // never skips an outer point it should have examined.

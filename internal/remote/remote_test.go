@@ -86,6 +86,13 @@ func (f *fakeTransport) Probe(ctx context.Context, op Op, req *ProbeRequest, res
 	return f.inner.Probe(ctx, op, req, resp)
 }
 
+func (f *fakeTransport) ProbeBatch(ctx context.Context, req *BatchProbeRequest, resp *BatchProbeResponse) error {
+	if err := f.step(ctx); err != nil {
+		return err
+	}
+	return f.inner.ProbeBatch(ctx, req, resp)
+}
+
 func (f *fakeTransport) Info(ctx context.Context) (*Info, error) {
 	if err := f.step(ctx); err != nil {
 		return nil, err

@@ -434,6 +434,30 @@ func (rs *ReplicaSet) Probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 	return v.(*ProbeResponse), nil
 }
 
+// ProbeBatch runs one batch probe under the envelope, with Probe's
+// corrupt-and-validate step: a response whose arrays or offsets do not
+// describe exactly one span per focal is a transient error, retried and
+// failed over like a dropped connection.
+func (rs *ReplicaSet) ProbeBatch(ctx context.Context, req *BatchProbeRequest) (*BatchProbeResponse, error) {
+	v, err := rs.do(ctx, func(ctx context.Context, t ShardTransport) (any, error) {
+		resp := new(BatchProbeResponse)
+		if err := t.ProbeBatch(ctx, req, resp); err != nil {
+			return nil, err
+		}
+		if fault.Armed() && fault.OnCorruptResponse(t.Endpoint()) {
+			corruptBatch(resp)
+		}
+		if err := resp.validate(len(req.Xs)); err != nil {
+			return nil, transientf("%s: corrupt response: %w", t.Endpoint(), err)
+		}
+		return resp, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*BatchProbeResponse), nil
+}
+
 // Info fetches the shard's identity card under the envelope.
 func (rs *ReplicaSet) Info(ctx context.Context) (*Info, error) {
 	v, err := rs.do(ctx, func(ctx context.Context, t ShardTransport) (any, error) {
@@ -484,6 +508,17 @@ func corruptProbe(r *ProbeResponse) {
 		r.Xs = r.Xs[:len(r.Xs)-1]
 	} else {
 		r.Count = -1
+	}
+}
+
+// corruptBatch injects a structural defect the batch validator catches:
+// ragged candidate arrays, or a surplus offset when there are no candidates
+// to cut.
+func corruptBatch(r *BatchProbeResponse) {
+	if len(r.Xs) > 0 {
+		r.Xs = r.Xs[:len(r.Xs)-1]
+	} else {
+		r.Off = append(r.Off, 0)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -54,9 +56,10 @@ type ShardServer struct {
 	// (served by /metrics next to the per-op counts).
 	counters stats.Counters
 
-	probes [3]atomic.Int64 // per-Op served probes
-	blocks atomic.Int64    // block-points fetches served
-	errs   atomic.Int64    // requests answered with a non-2xx status
+	probes      [4]atomic.Int64 // per-Op served probe requests
+	batchFocals atomic.Int64    // focals answered by batch requests
+	blocks      atomic.Int64    // block-points fetches served
+	errs        atomic.Int64    // requests answered with a non-2xx status
 }
 
 // NewShardServer builds the server for one shard relation.
@@ -77,6 +80,7 @@ func NewShardServer(rel *core.Relation, cfg ShardServerConfig) *ShardServer {
 	s.mux.HandleFunc(pathPrefix+"/neighborhood", s.handleProbe(OpNeighborhood))
 	s.mux.HandleFunc(pathPrefix+"/neighborhood-within", s.handleProbe(OpWithin))
 	s.mux.HandleFunc(pathPrefix+"/count-closer", s.handleProbe(OpCount))
+	s.mux.HandleFunc(pathPrefix+"/"+OpBatch.String(), s.handleBatch)
 	s.mux.HandleFunc(pathPrefix+"/info", s.handleInfo)
 	s.mux.HandleFunc(pathPrefix+"/blocks", s.handleBlocks)
 	s.mux.HandleFunc(pathPrefix+"/block", s.handleBlock)
@@ -145,6 +149,9 @@ func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 	if req.K <= 0 {
 		return nil, fmt.Errorf("k must be positive, got %d", req.K)
 	}
+	if math.IsNaN(req.ThresholdSq) {
+		return nil, fmt.Errorf("NaN threshold")
+	}
 	h, err := s.rel.AcquireCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -159,80 +166,145 @@ func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 		resp.Count = h.S.CountStrictlyCloser(p, req.K, req.ThresholdSq, &delta)
 	case OpWithin:
 		nb := h.S.NeighborhoodWithinSq(p, req.K, req.ThresholdSq, &delta)
-		s.fillResponse(resp, p, nb.Points)
+		s.appendCandidates(&resp.Candidates, p, nb.Points)
 	default:
 		nb := h.S.Neighborhood(p, req.K, &delta)
-		s.fillResponse(resp, p, nb.Points)
+		s.appendCandidates(&resp.Candidates, p, nb.Points)
 	}
+	resp.Stats = s.account(&delta)
+	s.probes[op].Add(1)
+	return resp, nil
+}
+
+// probeBatch answers a batch request by running the shard's searcher once
+// per focal, in input order, behind one borrowed handle: focal i's
+// candidates are exactly the single probe's, and the response's Stats sum
+// the per-focal deltas. Like probe, it backs both the HTTP handler and the
+// loopback transport.
+func (s *ShardServer) probeBatch(ctx context.Context, req *BatchProbeRequest) (*BatchProbeResponse, error) {
+	if err := req.check(); err != nil {
+		return nil, err
+	}
+	h, err := s.rel.AcquireCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Release()
+
+	var delta stats.Counters
+	resp := &BatchProbeResponse{Off: make([]int, 1, len(req.Xs)+1)}
+	for i := range req.Xs {
+		p := geom.Point{X: req.Xs[i], Y: req.Ys[i]}
+		var nb *locality.Neighborhood
+		if req.ThresholdsSq != nil {
+			nb = h.S.NeighborhoodWithinSq(p, req.K, req.ThresholdsSq[i], &delta)
+		} else {
+			nb = h.S.Neighborhood(p, req.K, &delta)
+		}
+		s.appendCandidates(&resp.Candidates, p, nb.Points)
+		resp.Off = append(resp.Off, len(resp.IDs))
+	}
+	resp.Stats = s.account(&delta)
+	s.probes[OpBatch].Add(1)
+	s.batchFocals.Add(int64(len(req.Xs)))
+	return resp, nil
+}
+
+// account folds one request's counter delta into the shard's lifetime
+// counters and returns it in wire form.
+func (s *ShardServer) account(delta *stats.Counters) WireStats {
+	s.counters.Add(delta)
 	d := delta.Snapshot()
-	resp.Stats = WireStats{
+	return WireStats{
 		Neighborhoods:  d.Neighborhoods,
 		BlocksScanned:  d.BlocksScanned,
 		PointsCompared: d.PointsCompared,
 		BlocksPruned:   d.BlocksPruned,
 		OuterSkipped:   d.OuterSkipped,
 	}
-	s.counters.Add(&delta)
-	s.probes[op].Add(1)
-	return resp, nil
 }
 
-// fillResponse encodes a neighborhood's points as wire candidates: stable
-// ID, coordinates, and the squared distance to the probe center recomputed
-// from coordinates (exactly the comparison key of the coordinator's merge).
-func (s *ShardServer) fillResponse(resp *ProbeResponse, center geom.Point, pts []geom.Point) {
+// appendCandidates encodes a neighborhood's points as wire candidates:
+// stable ID, coordinates, and the squared distance to the probe center
+// recomputed from coordinates (exactly the comparison key of the
+// coordinator's merge).
+func (s *ShardServer) appendCandidates(c *Candidates, center geom.Point, pts []geom.Point) {
 	// The neighborhood's Dists are sqrt values; the wire carries dSq, the
 	// exact key, so recompute it from coordinates relative to the center.
-	// fillNeighborhood on the far side restores Dists = Sqrt(dSq).
-	resp.IDs = make([]int32, len(pts))
-	resp.Xs = make([]float64, len(pts))
-	resp.Ys = make([]float64, len(pts))
-	resp.DSqs = make([]float64, len(pts))
-	for i, p := range pts {
-		resp.IDs[i] = s.idOf[p]
-		resp.Xs[i] = p.X
-		resp.Ys[i] = p.Y
-		resp.DSqs[i] = center.DistSq(p)
+	// The coordinator restores Dists = Sqrt(dSq).
+	for _, p := range pts {
+		c.IDs = append(c.IDs, s.idOf[p])
+		c.Xs = append(c.Xs, p.X)
+		c.Ys = append(c.Ys, p.Y)
+		c.DSqs = append(c.DSqs, center.DistSq(p))
 	}
 }
 
 // handleProbe decodes, executes, and encodes one probe op.
 func (s *ShardServer) handleProbe(op Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			s.error(w, http.StatusMethodNotAllowed, "POST required")
-			return
-		}
 		var req ProbeRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			s.error(w, http.StatusBadRequest, "malformed probe request: "+err.Error())
+		if !s.decode(w, r, &req) {
 			return
 		}
-		defer func() {
-			// A cancellation checkpoint unwinds by panic when the client's
-			// context dies mid-scan (disconnect, hedge loser cancellation);
-			// contain it to this request.
-			if rec := recover(); rec != nil {
-				if _, ok := rec.(*fault.Cancel); ok {
-					s.error(w, http.StatusGatewayTimeout, "probe canceled")
-					return
-				}
-				panic(rec)
-			}
-		}()
+		defer s.recoverCancel(w)
 		resp, err := s.probe(r.Context(), op, &req)
-		if err != nil {
-			status := http.StatusBadRequest
-			if r.Context().Err() != nil {
-				status = http.StatusGatewayTimeout
-			}
-			s.error(w, status, err.Error())
+		s.reply(w, r, resp, err)
+	}
+}
+
+// handleBatch decodes, executes, and encodes one batch probe.
+func (s *ShardServer) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req BatchProbeRequest
+	if !s.decode(w, r, &req) {
+		return
+	}
+	defer s.recoverCancel(w)
+	resp, err := s.probeBatch(r.Context(), &req)
+	s.reply(w, r, resp, err)
+}
+
+// decode reads a probe request body — POST only, at most maxRequestBytes,
+// no unknown fields — answering the error itself when it reports false.
+func (s *ShardServer) decode(w http.ResponseWriter, r *http.Request, req any) bool {
+	if r.Method != http.MethodPost {
+		s.error(w, http.StatusMethodNotAllowed, "POST required")
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		s.error(w, http.StatusBadRequest, "malformed probe request: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// recoverCancel contains a cancellation checkpoint's unwind — the client's
+// context died mid-scan (disconnect, hedge loser cancellation) — to this
+// request. Deferred by the probe handlers.
+func (s *ShardServer) recoverCancel(w http.ResponseWriter) {
+	if rec := recover(); rec != nil {
+		if _, ok := rec.(*fault.Cancel); ok {
+			s.error(w, http.StatusGatewayTimeout, "probe canceled")
 			return
 		}
-		s.write(w, resp)
+		panic(rec)
 	}
+}
+
+// reply writes a probe's response, or its error: 400 for a rejected
+// request, 504 when the request's context ended first.
+func (s *ShardServer) reply(w http.ResponseWriter, r *http.Request, resp any, err error) {
+	if err != nil {
+		status := http.StatusBadRequest
+		if r.Context().Err() != nil {
+			status = http.StatusGatewayTimeout
+		}
+		s.error(w, status, err.Error())
+		return
+	}
+	s.write(w, resp)
 }
 
 func (s *ShardServer) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -265,22 +337,27 @@ func (s *ShardServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // shardMetrics is the /metrics body of a shard process.
+// Probes counts requests per route; BatchFocals counts the focals the
+// batch requests carried, so BatchFocals / Probes["neighborhood-batch"] is
+// the mean number of focals per batch round trip.
 type shardMetrics struct {
 	Info         Info             `json:"info"`
 	Probes       map[string]int64 `json:"probes"`
+	BatchFocals  int64            `json:"batch_focals"`
 	BlockFetches int64            `json:"block_fetches"`
 	Errors       int64            `json:"errors"`
 	Stats        stats.Counters   `json:"stats"`
 }
 
 func (s *ShardServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	probes := make(map[string]int64, len(s.probes))
+	for op := range s.probes {
+		probes[Op(op).String()] = s.probes[op].Load()
+	}
 	m := shardMetrics{
-		Info: s.info(),
-		Probes: map[string]int64{
-			OpNeighborhood.String(): s.probes[OpNeighborhood].Load(),
-			OpWithin.String():       s.probes[OpWithin].Load(),
-			OpCount.String():        s.probes[OpCount].Load(),
-		},
+		Info:         s.info(),
+		Probes:       probes,
+		BatchFocals:  s.batchFocals.Load(),
 		BlockFetches: s.blocks.Load(),
 		Errors:       s.errs.Load(),
 		Stats:        s.counters.Snapshot(),

@@ -23,6 +23,9 @@ type ShardTransport interface {
 	// Probe executes one candidate-generation op, decoding into resp.
 	Probe(ctx context.Context, op Op, req *ProbeRequest, resp *ProbeResponse) error
 
+	// ProbeBatch executes one batch of top-k probes, decoding into resp.
+	ProbeBatch(ctx context.Context, req *BatchProbeRequest, resp *BatchProbeResponse) error
+
 	// Info fetches the shard's identity card.
 	Info(ctx context.Context) (*Info, error)
 
@@ -92,6 +95,11 @@ func (t *HTTPTransport) Endpoint() string { return t.base }
 // Probe implements ShardTransport.
 func (t *HTTPTransport) Probe(ctx context.Context, op Op, req *ProbeRequest, resp *ProbeResponse) error {
 	return t.post(ctx, pathPrefix+"/"+op.String(), req, resp)
+}
+
+// ProbeBatch implements ShardTransport.
+func (t *HTTPTransport) ProbeBatch(ctx context.Context, req *BatchProbeRequest, resp *BatchProbeResponse) error {
+	return t.post(ctx, pathPrefix+"/"+OpBatch.String(), req, resp)
 }
 
 // Info implements ShardTransport.
@@ -204,24 +212,46 @@ func (l *Loopback) Endpoint() string { return l.name }
 // checkpoints are recovered into the context's error, mirroring what the
 // HTTP server returns for a dead request context.
 func (l *Loopback) Probe(ctx context.Context, op Op, req *ProbeRequest, resp *ProbeResponse) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			c, ok := rec.(*fault.Cancel)
-			if !ok {
-				panic(rec)
-			}
-			err = transientf("%s: %w", l.name, c.Err)
-		}
-	}()
+	defer l.recoverCancel(&err)
 	out, err := l.srv.probe(ctx, op, req)
 	if err != nil {
-		if ctx.Err() != nil {
-			return transientf("%s: %w", l.name, err)
-		}
-		return fatalf("%s: %w", l.name, err)
+		return l.classify(ctx, err)
 	}
 	*resp = *out
 	return nil
+}
+
+// ProbeBatch implements ShardTransport, with Probe's cancellation handling.
+func (l *Loopback) ProbeBatch(ctx context.Context, req *BatchProbeRequest, resp *BatchProbeResponse) (err error) {
+	defer l.recoverCancel(&err)
+	out, err := l.srv.probeBatch(ctx, req)
+	if err != nil {
+		return l.classify(ctx, err)
+	}
+	*resp = *out
+	return nil
+}
+
+// recoverCancel turns a searcher checkpoint's cancellation unwind into a
+// transient error in *err. Deferred by the probe methods.
+func (l *Loopback) recoverCancel(err *error) {
+	if rec := recover(); rec != nil {
+		c, ok := rec.(*fault.Cancel)
+		if !ok {
+			panic(rec)
+		}
+		*err = transientf("%s: %w", l.name, c.Err)
+	}
+}
+
+// classify maps a server-side probe error like the HTTP status mapping: a
+// dead context is transient (504), anything else a rejected request (400,
+// fatal).
+func (l *Loopback) classify(ctx context.Context, err error) error {
+	if ctx.Err() != nil {
+		return transientf("%s: %w", l.name, err)
+	}
+	return fatalf("%s: %w", l.name, err)
 }
 
 // Info implements ShardTransport.

@@ -24,14 +24,29 @@
 // A shard process (cmd/knnshard) serves one shard's candidate-generation
 // contract:
 //
-//	POST /shard/v1/neighborhood         {x,y,k}             → probe response
-//	POST /shard/v1/neighborhood-within  {x,y,k,threshold_sq} → probe response
-//	POST /shard/v1/count-closer         {x,y,k,threshold_sq} → {count}
+//	POST /shard/v1/neighborhood         {x,y,k}                 → probe response
+//	POST /shard/v1/neighborhood-within  {x,y,k,threshold_sq}    → probe response
+//	POST /shard/v1/neighborhood-batch   {xs,ys,k,thresholds_sq} → batch response
+//	POST /shard/v1/count-closer         {x,y,k,threshold_sq}    → {count}
 //	GET  /shard/v1/info                 shard identity, cardinality, bounds
 //	GET  /shard/v1/blocks               outer-side block headers (MBR, count)
 //	GET  /shard/v1/block?i=N            one block's points (lazy outer fetch)
 //	GET  /healthz                       liveness
 //	GET  /metrics                       per-op counters + searcher stats
+//
+// The batch route answers up to maxBatchFocals probes in one round trip:
+// focal i is (xs[i], ys[i]), k is shared, and thresholds_sq, when present,
+// selects the threshold-clipped probe per focal. Its response carries the
+// candidates of every focal in flat ids/xs/ys/d_sqs arrays plus offsets:
+// focal i's candidates are off[i]:off[i+1], so off has one entry more than
+// there are focals, starts at 0, never decreases and ends at len(ids). The
+// stats are the sum over all focals. The coordinator rejects any response
+// breaking that contract as a transient transfer fault.
+//
+// Every probe route reads at most maxRequestBytes of body and rejects with
+// 400 a non-positive k or a NaN threshold; the batch route also rejects
+// ragged xs/ys, a thresholds_sq of the wrong length and more than
+// maxBatchFocals focals.
 //
 // Block headers let the coordinator run Block-Marking as a network-transfer
 // prune: a marked non-contributing block's points are never fetched.
@@ -43,6 +58,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/locality"
+	"repro/internal/shard"
 )
 
 // Protocol version prefix of every route. Bump on incompatible changes; the
@@ -61,6 +77,10 @@ const (
 
 	// OpCount is the conservative strictly-closer count.
 	OpCount
+
+	// OpBatch is the batched top-k probe (its own request and response
+	// types; see BatchProbeRequest).
+	OpBatch
 )
 
 // String returns the op's route suffix.
@@ -70,10 +90,20 @@ func (o Op) String() string {
 		return "neighborhood-within"
 	case OpCount:
 		return "count-closer"
+	case OpBatch:
+		return "neighborhood-batch"
 	default:
 		return "neighborhood"
 	}
 }
+
+// maxBatchFocals caps the focals of one batch request; the coordinator
+// splits larger batches into chunks of this size.
+const maxBatchFocals = 512
+
+// maxRequestBytes caps the body of every probe request. A full batch
+// request is about 40 KB of JSON (60 KB with thresholds).
+const maxRequestBytes = 1 << 20
 
 // ProbeRequest is the body of every probe POST. ThresholdSq is ignored by
 // OpNeighborhood.
@@ -95,14 +125,30 @@ type WireStats struct {
 	OuterSkipped   int64 `json:"outer_skipped,omitempty"`
 }
 
-// ProbeResponse carries a probe's candidate set: parallel arrays of stable
+// Candidates are a candidate set on the wire: parallel arrays of stable
 // point IDs, coordinates, and squared distances in the shard-local result
-// order (ascending (distance, X, Y)). For OpCount only Count is set.
+// order (ascending (distance, X, Y)).
+type Candidates struct {
+	IDs  []int32   `json:"ids,omitempty"`
+	Xs   []float64 `json:"xs,omitempty"`
+	Ys   []float64 `json:"ys,omitempty"`
+	DSqs []float64 `json:"d_sqs,omitempty"`
+}
+
+// validate rejects ragged candidate arrays.
+func (c *Candidates) validate() error {
+	n := len(c.IDs)
+	if len(c.Xs) != n || len(c.Ys) != n || len(c.DSqs) != n {
+		return fmt.Errorf("ragged candidate arrays: ids=%d xs=%d ys=%d dsqs=%d",
+			n, len(c.Xs), len(c.Ys), len(c.DSqs))
+	}
+	return nil
+}
+
+// ProbeResponse carries a probe's candidate set. For OpCount only Count is
+// set.
 type ProbeResponse struct {
-	IDs   []int32   `json:"ids,omitempty"`
-	Xs    []float64 `json:"xs,omitempty"`
-	Ys    []float64 `json:"ys,omitempty"`
-	DSqs  []float64 `json:"d_sqs,omitempty"`
+	Candidates
 	Count int       `json:"count,omitempty"`
 	Stats WireStats `json:"stats,omitempty"`
 }
@@ -117,12 +163,7 @@ func (r *ProbeResponse) validate(op Op) error {
 		}
 		return nil
 	}
-	n := len(r.IDs)
-	if len(r.Xs) != n || len(r.Ys) != n || len(r.DSqs) != n {
-		return fmt.Errorf("ragged candidate arrays: ids=%d xs=%d ys=%d dsqs=%d",
-			n, len(r.Xs), len(r.Ys), len(r.DSqs))
-	}
-	return nil
+	return r.Candidates.validate()
 }
 
 // fillNeighborhood rebuilds the shard-local neighborhood from the wire
@@ -136,6 +177,82 @@ func (r *ProbeResponse) fillNeighborhood(center geom.Point, nb *locality.Neighbo
 	for i := range r.IDs {
 		nb.Points = append(nb.Points, geom.Point{X: r.Xs[i], Y: r.Ys[i]})
 		nb.Dists = append(nb.Dists, math.Sqrt(r.DSqs[i]))
+	}
+}
+
+// BatchProbeRequest is the body of POST /shard/v1/neighborhood-batch: one
+// top-k probe per focal (Xs[i], Ys[i]) with a shared K. A non-nil
+// ThresholdsSq selects the threshold-clipped probe for every focal.
+type BatchProbeRequest struct {
+	Xs           []float64 `json:"xs"`
+	Ys           []float64 `json:"ys"`
+	K            int       `json:"k"`
+	ThresholdsSq []float64 `json:"thresholds_sq,omitempty"`
+}
+
+// check rejects requests the shard must answer with 400.
+func (r *BatchProbeRequest) check() error {
+	if r.K <= 0 {
+		return fmt.Errorf("k must be positive, got %d", r.K)
+	}
+	if len(r.Xs) != len(r.Ys) {
+		return fmt.Errorf("ragged focal arrays: xs=%d ys=%d", len(r.Xs), len(r.Ys))
+	}
+	if len(r.Xs) > maxBatchFocals {
+		return fmt.Errorf("%d focals exceed the batch cap of %d", len(r.Xs), maxBatchFocals)
+	}
+	if r.ThresholdsSq != nil && len(r.ThresholdsSq) != len(r.Xs) {
+		return fmt.Errorf("thresholds_sq has %d entries for %d focals", len(r.ThresholdsSq), len(r.Xs))
+	}
+	for _, t := range r.ThresholdsSq {
+		if math.IsNaN(t) {
+			return fmt.Errorf("NaN threshold")
+		}
+	}
+	return nil
+}
+
+// BatchProbeResponse carries every focal's candidates: focal i's are
+// Candidates[Off[i]:Off[i+1]]. Stats sum over all focals.
+type BatchProbeResponse struct {
+	Candidates
+	Off   []int     `json:"off"`
+	Stats WireStats `json:"stats,omitempty"`
+}
+
+// validate rejects ragged arrays and offsets that do not describe exactly
+// focals spans over them, so a corrupted batch surfaces as a transient
+// envelope error, never as an index panic in the merge.
+func (r *BatchProbeResponse) validate(focals int) error {
+	if err := r.Candidates.validate(); err != nil {
+		return err
+	}
+	if len(r.Off) != focals+1 {
+		return fmt.Errorf("%d offsets for %d focals", len(r.Off), focals)
+	}
+	if r.Off[0] != 0 {
+		return fmt.Errorf("offsets start at %d", r.Off[0])
+	}
+	for i := 1; i < len(r.Off); i++ {
+		if r.Off[i] < r.Off[i-1] {
+			return fmt.Errorf("offset %d decreases (%d after %d)", i, r.Off[i], r.Off[i-1])
+		}
+	}
+	if last := r.Off[focals]; last != len(r.IDs) {
+		return fmt.Errorf("offsets end at %d, candidates number %d", last, len(r.IDs))
+	}
+	return nil
+}
+
+// appendSpans rebuilds every focal's shard-local neighborhood into dst, one
+// span per focal, with Dists = Sqrt(DSqs) as in fillNeighborhood. Call only
+// on a validated response.
+func (r *BatchProbeResponse) appendSpans(dst *shard.Spans) {
+	for i := 1; i < len(r.Off); i++ {
+		for j := r.Off[i-1]; j < r.Off[i]; j++ {
+			dst.Append(geom.Point{X: r.Xs[j], Y: r.Ys[j]}, math.Sqrt(r.DSqs[j]))
+		}
+		dst.EndSpan()
 	}
 }
 

@@ -10,99 +10,185 @@ import (
 	"repro/internal/stats"
 )
 
-// batchResults stores one neighborhood per focal in a flat arena: Points and
-// Dists are shared backing arrays, off[i]:off[i+1] is query i's span.
-type batchResults struct {
+// Spans stores one neighborhood per focal in a flat arena: the points and
+// distances share backing arrays, and span i ends where span i+1 starts.
+// The zero value is an empty arena; a probe keeps one per member (plus one
+// for merged results) and reuses it across calls, so steady-state batches
+// allocate nothing. The per-member arena also holds the batch driver an
+// in-process member scans with, which keeps that driver bound to the one
+// shard index it serves.
+type Spans struct {
 	pts   []geom.Point
 	dists []float64
-	off   []int
+	end   []int // end[i] is the exclusive end of span i
+	drv   *batch.Driver
 }
 
-// view aliases query i's span as a Neighborhood.
-func (b *batchResults) view(i int, center geom.Point, nb *locality.Neighborhood) {
+// Len returns the number of spans.
+func (b *Spans) Len() int { return len(b.end) }
+
+// Append adds one candidate to the span under construction.
+func (b *Spans) Append(p geom.Point, dist float64) {
+	b.pts = append(b.pts, p)
+	b.dists = append(b.dists, dist)
+}
+
+// EndSpan closes the span under construction (an empty span when nothing
+// was appended since the last close).
+func (b *Spans) EndSpan() { b.end = append(b.end, len(b.pts)) }
+
+// Span returns span i's points and distances (aliases; valid until the
+// arena is next appended to or reset).
+func (b *Spans) Span(i int) ([]geom.Point, []float64) {
+	lo := 0
+	if i > 0 {
+		lo = b.end[i-1]
+	}
+	return b.pts[lo:b.end[i]], b.dists[lo:b.end[i]]
+}
+
+// view aliases span i as a Neighborhood centered at center.
+func (b *Spans) view(i int, center geom.Point, nb *locality.Neighborhood) {
 	nb.Center = center
-	nb.Points = b.pts[b.off[i]:b.off[i+1]]
-	nb.Dists = b.dists[b.off[i]:b.off[i+1]]
+	nb.Points, nb.Dists = b.Span(i)
 }
 
-// appendNbr copies one neighborhood into the arena as the next query's span.
-func (b *batchResults) appendNbr(nb *locality.Neighborhood) {
+// appendNbr copies one neighborhood into the arena as the next span.
+func (b *Spans) appendNbr(nb *locality.Neighborhood) {
 	b.pts = append(b.pts, nb.Points...)
 	b.dists = append(b.dists, nb.Dists...)
-	b.off = append(b.off, len(b.pts))
+	b.EndSpan()
 }
 
-// runShards runs the batched driver once per shard, copying each shard's
-// local per-query neighborhoods out of the driver arena. thresholdsSq nil
-// selects kNN mode, non-nil the within-threshold mode (see batch.Driver).
+// reset empties the arena, keeping its buffers.
+func (b *Spans) reset() {
+	b.pts, b.dists, b.end = b.pts[:0], b.dists[:0], b.end[:0]
+}
+
+// release returns the arena's batch driver to its pool.
+func (b *Spans) release() {
+	if b.drv != nil {
+		batch.Release(b.drv)
+		b.drv = nil
+	}
+}
+
+// clone returns an independent copy of the spans (no driver).
+func (b *Spans) clone() *Spans {
+	return &Spans{
+		pts:   append([]geom.Point(nil), b.pts...),
+		dists: append([]float64(nil), b.dists...),
+		end:   append([]int(nil), b.end...),
+	}
+}
+
+// neighborhoods computes the exact global k-neighborhood of every focal,
+// one span per focal in input order in the probe's merged arena (valid
+// until the probe's next neighborhoods call). thresholdsSq nil selects kNN
+// mode; non-nil clips focal i's scan at thresholdsSq[i] as
+// neighborhoodWithinSq does, and a negative threshold yields an empty span.
 //
-// The batched driver is a local-scan optimization (sorted focal groups over
-// one shard's blocks); remote members take the per-focal probe path through
-// the same candidate contract instead, which is byte-identical by
-// construction — each per-focal call is exactly the sequential sharded
-// probe the batched local path is held equal to.
-func runShards(pr *probe, d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64) []batchResults {
-	out := make([]batchResults, len(pr.handles))
-	for s, h := range pr.handles {
-		if fault.Armed() {
-			fault.OnShardProbe(s)
+// The probes go out in rounds: round r sends each focal to its r-th nearest
+// shard by MINDIST², unless the focal's running k-th distance already
+// excludes that shard — the skip rule of neighborhood, applied focal by
+// focal, so every shard sees exactly the (focal, shard) probes of the
+// per-focal loop. Each round makes at most one NeighborhoodBatch call per
+// shard: in-process members run the Z-order batch driver over the round's
+// focals, remote members make one round trip. The merge per focal is the
+// probe's k-way merge, so the spans are byte-identical to calling
+// neighborhood (or neighborhoodWithinSq) once per focal.
+func (pr *probe) neighborhoods(focals []geom.Point, k int, thresholdsSq []float64) *Spans {
+	n, S := len(focals), len(pr.handles)
+	if pr.spans == nil {
+		pr.spans = make([]Spans, S)
+		pr.views = make([]locality.Neighborhood, S)
+	}
+	pr.shardOrder = grow(pr.shardOrder, n*S)
+	pr.shardMinSq = grow(pr.shardMinSq, n*S)
+	pr.spanAt = grow(pr.spanAt, n*S)
+	pr.limits = grow(pr.limits, n)
+	for i, f := range focals {
+		limit := pr.probeOrder(f)
+		if thresholdsSq != nil {
+			limit = thresholdsSq[i]
 		}
-		out[s].off = append(out[s].off, 0)
-		lh := h.Local()
-		if lh == nil {
+		pr.limits[i] = limit
+		copy(pr.shardOrder[i*S:], pr.order)
+		copy(pr.shardMinSq[i*S:], pr.minSqs)
+	}
+	for j := range pr.spanAt {
+		pr.spanAt[j] = -1
+	}
+	for s := range pr.spans {
+		pr.spans[s].reset()
+	}
+
+	for r := 0; r < S; r++ {
+		for s, h := range pr.handles {
+			sub, subIdx, subThr := pr.sub[:0], pr.subIdx[:0], pr.subThr[:0]
 			for i, f := range focals {
-				if thresholdsSq != nil && thresholdsSq[i] < 0 {
-					// Short-circuited query: empty span, like the local
-					// driver's negative-threshold contract.
-					out[s].off = append(out[s].off, len(out[s].pts))
+				if pr.shardOrder[i*S+r] != s || pr.shardMinSq[i*S+s] > pr.limits[i] {
 					continue
 				}
-				var nbr *locality.Neighborhood
-				if thresholdsSq == nil {
-					nbr = h.Neighborhood(f, k, pr.deltas[s])
-				} else {
-					nbr = h.NeighborhoodWithinSq(f, k, thresholdsSq[i], pr.deltas[s])
+				sub = append(sub, f)
+				subIdx = append(subIdx, i)
+				if thresholdsSq != nil {
+					subThr = append(subThr, thresholdsSq[i])
 				}
-				out[s].appendNbr(nbr)
 			}
-			continue
+			pr.sub, pr.subIdx, pr.subThr = sub, subIdx, subThr
+			if len(sub) == 0 {
+				continue
+			}
+			if thresholdsSq == nil {
+				subThr = nil
+			}
+			if fault.Armed() {
+				fault.OnShardProbe(s)
+			}
+			base := pr.spans[s].Len()
+			h.NeighborhoodBatch(sub, k, subThr, &pr.spans[s], pr.deltas[s])
+			for j, i := range subIdx {
+				pr.spanAt[i*S+s] = base + j
+			}
 		}
-		var res []locality.Neighborhood
-		if thresholdsSq == nil {
-			res = d.KNNSelect(lh, focals, k, pr.deltas[s])
-		} else {
-			res = d.SelectWithinSq(lh, focals, k, thresholdsSq, pr.deltas[s])
+		// Tighten each focal's skip limit by the shard it just heard from.
+		for i, f := range focals {
+			s := pr.shardOrder[i*S+r]
+			j := pr.spanAt[i*S+s]
+			if j < 0 {
+				continue
+			}
+			if pts, _ := pr.spans[s].Span(j); len(pts) == k {
+				if b := pts[k-1].DistSq(f); b < pr.limits[i] {
+					pr.limits[i] = b
+				}
+			}
 		}
-		for i := range res {
-			out[s].appendNbr(&res[i])
+	}
+
+	out := &pr.out
+	out.reset()
+	for i, f := range focals {
+		for s := range pr.handles {
+			if j := pr.spanAt[i*S+s]; j >= 0 {
+				pr.spans[s].view(j, f, &pr.views[s])
+				pr.nbrs[s] = &pr.views[s]
+			} else {
+				pr.nbrs[s] = &pr.emptyNbr
+			}
 		}
+		out.appendNbr(pr.merge(f, k))
 	}
 	return out
 }
 
-// gatherBatch computes the exact global neighborhood of every focal over the
-// group: per-shard batched local top-k (byte-identical to each shard's
-// sequential searcher), then the probe's k-way merge per query — the same
-// comparison (squared distance recomputed from coordinates, exact ties by
-// canonical point order, co-located duplicates kept) as the single-query
-// probe, so the global result is byte-identical to the sequential sharded
-// path.
-func gatherBatch(pr *probe, d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64) batchResults {
-	shardRes := runShards(pr, d, focals, k, thresholdsSq)
-	if len(shardRes) == 1 {
-		return shardRes[0]
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	views := make([]locality.Neighborhood, len(shardRes))
-	var merged batchResults
-	merged.off = append(merged.off, 0)
-	for i, f := range focals {
-		for s := range shardRes {
-			shardRes[s].view(i, f, &views[s])
-			pr.nbrs[s] = &views[s]
-		}
-		merged.appendNbr(pr.merge(f, k))
-	}
-	return merged
+	return buf[:n]
 }
 
 // SelectBatch is the batched form of Select: the k nearest neighbors of
@@ -117,13 +203,13 @@ func SelectBatch(ctx context.Context, g Group, focals []geom.Point, k int, c *st
 	pr := acquire(ctx, g)
 	defer pr.release(c)
 	pr.checkpoint()
-	d := batch.Acquire()
-	defer batch.Release(d)
-	res := gatherBatch(pr, d, focals, k, nil)
+	res := pr.neighborhoods(focals, k, nil)
 	pts := make([]geom.Point, len(res.pts))
 	copy(pts, res.pts)
-	for i := range out {
-		out[i] = pts[res.off[i]:res.off[i+1]:res.off[i+1]]
+	lo := 0
+	for i, hi := range res.end {
+		out[i] = pts[lo:hi:hi]
+		lo = hi
 	}
 	return out
 }
@@ -142,18 +228,18 @@ func TwoSelectsBatch(ctx context.Context, g Group, f1s []geom.Point, k1 int, f2s
 	pr := acquire(ctx, g)
 	defer pr.release(c)
 	pr.checkpoint()
-	d := batch.Acquire()
-	defer batch.Release(d)
 
 	if !conceptual && k1 > k2 {
 		f1s, f2s = f2s, f1s
 		k1, k2 = k2, k1
 	}
-	res1 := gatherBatch(pr, d, f1s, k1, nil)
+	// The first answers survive the second gather, which reuses the
+	// probe's merged arena.
+	res1 := pr.neighborhoods(f1s, k1, nil).clone()
 
-	var res2 batchResults
+	var res2 *Spans
 	if conceptual {
-		res2 = gatherBatch(pr, d, f2s, k2, nil)
+		res2 = pr.neighborhoods(f2s, k2, nil)
 	} else {
 		// The second predicate's scan is clipped per query by the squared
 		// distance from its focal to the farthest first-predicate answer; an
@@ -168,7 +254,7 @@ func TwoSelectsBatch(ctx context.Context, g Group, f1s []geom.Point, k1 int, f2s
 			}
 			thresholds[i] = nb1.FarthestDistSqTo(f2s[i])
 		}
-		res2 = gatherBatch(pr, d, f2s, k2, thresholds)
+		res2 = pr.neighborhoods(f2s, k2, thresholds)
 	}
 
 	var nb1, nb2 locality.Neighborhood

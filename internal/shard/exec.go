@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/kernel"
+	"repro/internal/locality"
 	"repro/internal/stats"
 )
 
@@ -22,7 +23,10 @@ import (
 // point list, or chunks of a first join's pairs — are claimed by a bounded
 // worker crew through an atomic cursor; each worker holds a probe (one
 // pooled searcher handle per inner shard) and generates candidates
-// per-shard, merging them into exact global neighborhoods.
+// per-shard, merging them into exact global neighborhoods. Over remote
+// inner shards a unit's probes are coalesced: at most one round trip per
+// shard per MINDIST round of the unit, not one per outer tuple (see
+// probe.eachNeighborhood).
 //
 // Gather: results are concatenated and canonically sorted (SortPairs /
 // SortTriples order), which makes the output deterministic regardless of
@@ -326,8 +330,7 @@ func join(ctx context.Context, outer, inner Group, k, workers int, c *stats.Coun
 	return scatter(ctx, blockUnits(ctx, outer), inner, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
 			return func(u unit, dst []core.Pair) []core.Pair {
-				u.eachPoint(func(e1 geom.Point) {
-					nbr := pr.neighborhood(e1, k)
+				pr.eachNeighborhood(u, k, nil, func(e1 geom.Point, nbr *locality.Neighborhood) {
 					for _, e2 := range nbr.Points {
 						dst = append(dst, core.Pair{Left: e1, Right: e2})
 					}
@@ -358,6 +361,22 @@ func SelectInnerJoin(ctx context.Context, outer, inner Group, f geom.Point, kJoi
 
 	out := scatter(ctx, blockUnits(ctx, outer), inner, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
+			var keep func(e1 geom.Point) bool
+			if strat == StrategyCounting {
+				// Squared threshold end-to-end, as in the core Counting
+				// algorithm: exact ties stay exact. The batched MinDistSq
+				// kernel over the flattened σ set matches
+				// Neighborhood.NearestDistSqTo exactly (NaN skipped, +Inf on
+				// empty), keeping the sharded and single-relation Counting
+				// prunes identical.
+				keep = func(e1 geom.Point) bool {
+					if pr.countStrictlyCloser(e1, kJoin, kernel.MinDistSq(selXs, selYs, e1.X, e1.Y)) >= kJoin {
+						ctr.AddOuterSkipped(1)
+						return false
+					}
+					return true
+				}
+			}
 			return func(u unit, dst []core.Pair) []core.Pair {
 				if strat == StrategyBlockMarking && u.blk.isBlock() {
 					if u.blk.Count() == 0 {
@@ -373,20 +392,7 @@ func SelectInnerJoin(ctx context.Context, outer, inner Group, f geom.Point, kJoi
 						return dst
 					}
 				}
-				u.eachPoint(func(e1 geom.Point) {
-					if strat == StrategyCounting {
-						// Squared threshold end-to-end, as in the core
-						// Counting algorithm: exact ties stay exact. The
-						// batched MinDistSq kernel over the flattened σ set
-						// matches Neighborhood.NearestDistSqTo exactly
-						// (NaN skipped, +Inf on empty), keeping the sharded
-						// and single-relation Counting prunes identical.
-						if pr.countStrictlyCloser(e1, kJoin, kernel.MinDistSq(selXs, selYs, e1.X, e1.Y)) >= kJoin {
-							ctr.AddOuterSkipped(1)
-							return
-						}
-					}
-					nbr := pr.neighborhood(e1, kJoin)
+				pr.eachNeighborhood(u, kJoin, keep, func(e1 geom.Point, nbr *locality.Neighborhood) {
 					for _, e2 := range nbr.Points {
 						if core.ContainsPoint(sorted, e2) {
 							dst = append(dst, core.Pair{Left: e1, Right: e2})
@@ -412,8 +418,7 @@ func SelectOuterJoin(ctx context.Context, outer, inner Group, f geom.Point, kSel
 	out := scatter(ctx, pointUnits(sel, workers), inner, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
 			return func(u unit, dst []core.Pair) []core.Pair {
-				u.eachPoint(func(e1 geom.Point) {
-					nbr := pr.neighborhood(e1, kJoin)
+				pr.eachNeighborhood(u, kJoin, nil, func(e1 geom.Point, nbr *locality.Neighborhood) {
 					for _, e2 := range nbr.Points {
 						dst = append(dst, core.Pair{Left: e1, Right: e2})
 					}
@@ -437,6 +442,16 @@ func RangeJoin(ctx context.Context, outer, inner Group, rng geom.Rect, kJoin int
 	}
 	out := scatter(ctx, blockUnits(ctx, outer), inner, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Pair] {
+			var keep func(e1 geom.Point) bool
+			if strat == StrategyCounting {
+				keep = func(e1 geom.Point) bool {
+					if pr.countStrictlyCloser(e1, kJoin, rng.MinDistSq(e1)) >= kJoin {
+						ctr.AddOuterSkipped(1)
+						return false
+					}
+					return true
+				}
+			}
 			return func(u unit, dst []core.Pair) []core.Pair {
 				if strat == StrategyBlockMarking && u.blk.isBlock() {
 					if u.blk.Count() == 0 {
@@ -449,14 +464,7 @@ func RangeJoin(ctx context.Context, outer, inner Group, rng geom.Rect, kJoin int
 						return dst
 					}
 				}
-				u.eachPoint(func(e1 geom.Point) {
-					if strat == StrategyCounting {
-						if pr.countStrictlyCloser(e1, kJoin, rng.MinDistSq(e1)) >= kJoin {
-							ctr.AddOuterSkipped(1)
-							return
-						}
-					}
-					nbr := pr.neighborhood(e1, kJoin)
+				pr.eachNeighborhood(u, kJoin, keep, func(e1 geom.Point, nbr *locality.Neighborhood) {
 					for _, e2 := range nbr.Points {
 						if rng.Contains(e2) {
 							dst = append(dst, core.Pair{Left: e1, Right: e2})
@@ -498,18 +506,26 @@ func Chained(ctx context.Context, a, b, cg Group, kAB, kBC, workers int, c *stat
 	out := scatter(ctx, pairUnits(abPairs, workers), cg, workers, c,
 		func(pr *probe, ctr *stats.Counters) emitFn[core.Triple] {
 			cache := make(map[geom.Point][]geom.Point)
+			var misses []geom.Point
 			return func(u unit, dst []core.Triple) []core.Triple {
+				// Claim every b value the cache lacks (a repeat within the
+				// unit is a hit, as in the per-pair loop), compute the
+				// misses' neighborhoods together, then emit.
+				misses = misses[:0]
 				for _, p := range u.pairs {
-					pts, ok := cache[p.Right]
-					if ok {
+					if _, ok := cache[p.Right]; ok {
 						ctr.AddCacheHit()
-					} else {
-						ctr.AddCacheMiss()
-						nbr := pr.neighborhood(p.Right, kBC)
-						pts = append([]geom.Point(nil), nbr.Points...)
-						cache[p.Right] = pts
+						continue
 					}
-					for _, cp := range pts {
+					ctr.AddCacheMiss()
+					cache[p.Right] = nil
+					misses = append(misses, p.Right)
+				}
+				pr.eachNeighborhood(unit{pts: misses}, kBC, nil, func(b geom.Point, nbr *locality.Neighborhood) {
+					cache[b] = append([]geom.Point(nil), nbr.Points...)
+				})
+				for _, p := range u.pairs {
+					for _, cp := range cache[p.Right] {
 						dst = append(dst, core.Triple{A: p.Left, B: p.Right, C: cp})
 					}
 				}

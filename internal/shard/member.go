@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -36,6 +37,14 @@ type Prober interface {
 	// MINDIST²(p) ≤ thresholdSq; see locality.Searcher.NeighborhoodWithinSq.
 	NeighborhoodWithinSq(p geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood
 
+	// NeighborhoodBatch appends one span per focal to dst, in input order:
+	// focal i's shard-local Neighborhood, or its NeighborhoodWithinSq at
+	// thresholdsSq[i] when thresholdsSq is non-nil (a negative threshold
+	// gives an empty span). In-process members run the Z-order batch driver
+	// (held in dst, which the caller keeps per member); remote members make
+	// one round trip per bounded chunk of focals.
+	NeighborhoodBatch(focals []geom.Point, k int, thresholdsSq []float64, dst *Spans, c *stats.Counters)
+
 	// CountStrictlyCloser conservatively counts shard points strictly closer
 	// to p than the squared threshold, stopping at k.
 	CountStrictlyCloser(p geom.Point, k int, thresholdSq float64, c *stats.Counters) int
@@ -48,8 +57,8 @@ type Prober interface {
 	Release()
 
 	// Local returns the backing *core.Relation handle for in-process
-	// members, nil for remote ones. The batched drivers take the local fast
-	// path through it; everything else stays on the interface.
+	// members, nil for remote ones: the join drivers batch a unit's probes
+	// only when some member's probes cross a process boundary.
 	Local() *core.Relation
 }
 
@@ -181,6 +190,21 @@ func (p *localProber) Neighborhood(q geom.Point, k int, c *stats.Counters) *loca
 
 func (p *localProber) NeighborhoodWithinSq(q geom.Point, k int, thresholdSq float64, c *stats.Counters) *locality.Neighborhood {
 	return p.h().S.NeighborhoodWithinSq(q, k, thresholdSq, c)
+}
+
+func (p *localProber) NeighborhoodBatch(focals []geom.Point, k int, thresholdsSq []float64, dst *Spans, c *stats.Counters) {
+	if dst.drv == nil {
+		dst.drv = batch.Acquire()
+	}
+	var res []locality.Neighborhood
+	if thresholdsSq == nil {
+		res = dst.drv.KNNSelect(p.h(), focals, k, c)
+	} else {
+		res = dst.drv.SelectWithinSq(p.h(), focals, k, thresholdsSq, c)
+	}
+	for i := range res {
+		dst.appendNbr(&res[i])
+	}
 }
 
 func (p *localProber) CountStrictlyCloser(q geom.Point, k int, thresholdSq float64, c *stats.Counters) int {

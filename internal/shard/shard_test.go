@@ -246,3 +246,75 @@ func TestBoundedPoolDegradation(t *testing.T) {
 		t.Fatalf("degraded join differs: %d vs %d pairs", len(got), len(want))
 	}
 }
+
+// tightBuild indexes each shard over its own extent (empty shards over the
+// test bounds), so shard MINDISTs differ and the skip rule fires.
+func tightBuild(st *geom.PointStore) (index.Index, error) {
+	if st.Len() == 0 {
+		return gridBuild(st)
+	}
+	return grid.NewFromStore(st, grid.Options{TargetPerCell: 16})
+}
+
+// TestNeighborhoodsMatchPerFocal holds the batched rounds gather equal to
+// the per-focal probe in both modes: the same spans, byte for byte, and the
+// same per-shard probes (equal Neighborhoods counts), at every shard count.
+func TestNeighborhoodsMatchPerFocal(t *testing.T) {
+	pts := testPoints(900, 21)
+	rng := rand.New(rand.NewSource(22))
+	for _, policy := range []Policy{PolicyHash, PolicySpatial} {
+		for _, s := range []int{1, 2, 3, 7} {
+			rel, err := New(pts, s, policy, 0, tightBuild)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 6; trial++ {
+				focals := testPoints(40, int64(100+trial))
+				k := 1 + rng.Intn(20)
+				var thresholds []float64
+				if trial%2 == 1 {
+					thresholds = make([]float64, len(focals))
+					for i := range thresholds {
+						thresholds[i] = rng.Float64()*40000 - 2000 // some negative
+					}
+				}
+				var seqStats, batchStats stats.Counters
+				seq := acquire(nil, rel.Group())
+				var want [][]geom.Point
+				for i, f := range focals {
+					var nb *locality.Neighborhood
+					if thresholds == nil {
+						nb = seq.neighborhood(f, k)
+					} else if thresholds[i] < 0 {
+						nb = &locality.Neighborhood{}
+					} else {
+						nb = seq.neighborhoodWithinSq(f, k, thresholds[i])
+					}
+					want = append(want, append([]geom.Point(nil), nb.Points...))
+				}
+				seq.release(&seqStats)
+
+				pr := acquire(nil, rel.Group())
+				res := pr.neighborhoods(focals, k, thresholds)
+				if res.Len() != len(focals) {
+					t.Fatalf("%v/S=%d: %d spans for %d focals", policy, s, res.Len(), len(focals))
+				}
+				for i := range focals {
+					got, _ := res.Span(i)
+					if len(got) == 0 && len(want[i]) == 0 {
+						continue
+					}
+					if !reflect.DeepEqual(want[i], got) {
+						t.Fatalf("%v/S=%d trial %d focal %d: batched span differs:\n got %v\nwant %v",
+							policy, s, trial, i, got, want[i])
+					}
+				}
+				pr.release(&batchStats)
+				if thresholds == nil && seqStats.Neighborhoods != batchStats.Neighborhoods {
+					t.Fatalf("%v/S=%d: batched gather ran %d shard neighborhoods, per-focal %d",
+						policy, s, batchStats.Neighborhoods, seqStats.Neighborhoods)
+				}
+			}
+		}
+	}
+}

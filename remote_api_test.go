@@ -436,6 +436,18 @@ func TestRemoteCorruptResponseRecovers(t *testing.T) {
 		t.Fatalf("KNNSelect under response corruption: %v", err)
 	}
 	samePoints(t, "KNNSelect/corrupt-recovered", want, got, false)
+
+	// A join against the remote inner goes out as batch probes, whose
+	// corrupted responses must fail over the same way.
+	wantJoin, err := twoknn.KNNJoin(a, a, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJoin, err := twoknn.KNNJoin(a, ra, 5)
+	if err != nil {
+		t.Fatalf("KNNJoin under batch response corruption: %v", err)
+	}
+	samePairs(t, "KNNJoin/corrupt-recovered", wantJoin, gotJoin)
 }
 
 // TestRemoteRelationSurface covers the dial-time metadata and render-table
