@@ -246,9 +246,10 @@
 // points of one outer block (or one chunk of selected points, batch focals
 // or chained-join misses) go to each shard as one batched request per
 // MINDIST round, with the same per-tuple shard skip, so a unit costs at
-// most one round trip per shard per round. Every shard process loads the full dataset spec and partitions locally
-// with the same deterministic policy, so stable IDs remain global input
-// positions with no shard-assignment service.
+// most one round trip per shard per round. Every shard process loads the
+// full dataset spec and partitions locally with the same deterministic
+// policy, so stable IDs remain global input positions with no
+// shard-assignment service.
 //
 // Each remote probe travels under a robustness envelope configured by
 // RemoteConfig: a per-probe deadline, bounded retries with exponential

@@ -280,6 +280,9 @@ func TestShardServerBatchRejects(t *testing.T) {
 	srv := NewShardServer(testRelation(t, testPoints(100, 40)), ShardServerConfig{Name: "test"})
 	lb := NewLoopback(srv, "")
 	tooMany := make([]float64, maxBatchFocals+1)
+	// At k ≥ n every focal returns all 100 points: the candidate cap
+	// admits batchFocalLimit(1000, 100) = 327 focals, not 512.
+	overCands := make([]float64, maxBatchCandidates/100+1)
 	for name, req := range map[string]*BatchProbeRequest{
 		"k=0":             {Xs: []float64{1}, Ys: []float64{1}, K: 0},
 		"k<0":             {Xs: []float64{1}, Ys: []float64{1}, K: -3},
@@ -287,6 +290,7 @@ func TestShardServerBatchRejects(t *testing.T) {
 		"thresholds-len":  {Xs: []float64{1, 2}, Ys: []float64{1, 2}, K: 2, ThresholdsSq: []float64{4}},
 		"nan-threshold":   {Xs: []float64{1}, Ys: []float64{1}, K: 2, ThresholdsSq: []float64{math.NaN()}},
 		"over-focals-cap": {Xs: tooMany, Ys: tooMany, K: 1},
+		"over-cands-cap":  {Xs: overCands, Ys: overCands, K: 1000},
 	} {
 		var resp BatchProbeResponse
 		err := lb.ProbeBatch(context.Background(), req, &resp)
@@ -295,7 +299,9 @@ func TestShardServerBatchRejects(t *testing.T) {
 		}
 	}
 
+	zeros := strings.TrimSuffix(strings.Repeat("0,", len(overCands)), ",")
 	for name, body := range map[string]string{
+		"over-cands-cap": `{"xs":[` + zeros + `],"ys":[` + zeros + `],"k":1000}`,
 		"k=0":            `{"xs":[1],"ys":[1],"k":0}`,
 		"ragged":         `{"xs":[1,2],"ys":[1],"k":2}`,
 		"thresholds-len": `{"xs":[1,2],"ys":[1,2],"k":2,"thresholds_sq":[]}`,
@@ -322,6 +328,65 @@ func TestShardServerBatchRejects(t *testing.T) {
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, pathPrefix+"/"+tc.op.String(), strings.NewReader(tc.body)))
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: oversized body answered %d, want 400", tc.op, rec.Code)
+		}
+	}
+}
+
+// TestRemoteBatchLargeK runs batches and a join whose k exceeds every
+// shard's size: the coordinator splits each round's focals into chunks the
+// shard's candidate cap admits, no response exceeds the cap, and the
+// answers match the in-process sharded run.
+func TestRemoteBatchLargeK(t *testing.T) {
+	const k = 1000
+	rel, srvs := splitLayout(t, testPoints(1500, 43), 3, shard.PolicyHash)
+	tps := loopbacks(srvs)
+	recs := make([]*recordingTransport, len(tps))
+	for s := range tps {
+		recs[s] = &recordingTransport{ShardTransport: tps[s][0]}
+		tps[s][0] = recs[s]
+	}
+	g, _ := dialGroup(t, tps, fastOpts())
+	ctx := context.Background()
+	focals := testPoints(300, 44)
+
+	want := shard.SelectBatch(ctx, rel.Group(), focals, k, nil)
+	got := shard.SelectBatch(ctx, g, focals, k, nil)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("large-k remote batch differs from in-process")
+	}
+	outer := shard.SingleGroup(localOuter(t, 200, 45))
+	if !reflect.DeepEqual(shard.Join(ctx, outer, rel.Group(), k, 2, nil), shard.Join(ctx, outer, g, k, 2, nil)) {
+		t.Fatal("large-k remote join differs from in-process")
+	}
+	for s, rec := range recs {
+		if limit := batchFocalLimit(k, srvs[s].Relation().Len()); rec.maxFocals.Load() != int64(limit) {
+			t.Errorf("shard %d: largest batch carried %d focals, want full chunks of %d", s, rec.maxFocals.Load(), limit)
+		}
+		if c := rec.maxCands.Load(); c == 0 || c > maxBatchCandidates {
+			t.Errorf("shard %d: largest batch response held %d candidates, want 1..%d", s, c, maxBatchCandidates)
+		}
+	}
+}
+
+// recordingTransport records the largest batch request and response it
+// carried.
+type recordingTransport struct {
+	ShardTransport
+	maxFocals, maxCands atomic.Int64
+}
+
+func (r *recordingTransport) ProbeBatch(ctx context.Context, req *BatchProbeRequest, resp *BatchProbeResponse) error {
+	err := r.ShardTransport.ProbeBatch(ctx, req, resp)
+	storeMax(&r.maxFocals, int64(len(req.Xs)))
+	storeMax(&r.maxCands, int64(len(resp.IDs)))
+	return err
+}
+
+func storeMax(v *atomic.Int64, x int64) {
+	for {
+		old := v.Load()
+		if x <= old || v.CompareAndSwap(old, x) {
+			return
 		}
 	}
 }

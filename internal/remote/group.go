@@ -6,7 +6,7 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/core"
+	"repro/internal/batch"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/locality"
@@ -290,9 +290,6 @@ func (p *remoteProber) Checkpoint() {
 // Release implements shard.Prober.
 func (p *remoteProber) Release() {}
 
-// Local implements shard.Prober.
-func (p *remoteProber) Local() *core.Relation { return nil }
-
 // Neighborhood implements shard.Prober.
 func (p *remoteProber) Neighborhood(q geom.Point, k int, c *stats.Counters) *locality.Neighborhood {
 	return p.probeNbr(q, &ProbeRequest{X: q.X, Y: q.Y, K: k}, OpNeighborhood, c)
@@ -304,11 +301,14 @@ func (p *remoteProber) NeighborhoodWithinSq(q geom.Point, k int, thresholdSq flo
 }
 
 // NeighborhoodBatch implements shard.Prober: one envelope call per chunk of
-// at most maxBatchFocals focals. In partial mode a failed chunk contributes
-// empty spans, as a failed single probe contributes an empty neighborhood.
-func (p *remoteProber) NeighborhoodBatch(focals []geom.Point, k int, thresholdsSq []float64, dst *shard.Spans, c *stats.Counters) {
-	for start := 0; start < len(focals); start += maxBatchFocals {
-		chunk := focals[start:min(start+maxBatchFocals, len(focals))]
+// at most batchFocalLimit(k, shard size) focals, so no response carries
+// more than maxBatchCandidates candidates. d is unused: the shard scans. In
+// partial mode a failed chunk contributes empty spans, as a failed single
+// probe contributes an empty neighborhood.
+func (p *remoteProber) NeighborhoodBatch(_ *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64, dst *shard.Spans, c *stats.Counters) {
+	limit := batchFocalLimit(k, p.m.Len())
+	for start := 0; start < len(focals); start += limit {
+		chunk := focals[start:min(start+limit, len(focals))]
 		req := &BatchProbeRequest{
 			Xs: make([]float64, len(chunk)),
 			Ys: make([]float64, len(chunk)),

@@ -182,7 +182,7 @@ func (s *ShardServer) probe(ctx context.Context, op Op, req *ProbeRequest) (*Pro
 // the per-focal deltas. Like probe, it backs both the HTTP handler and the
 // loopback transport.
 func (s *ShardServer) probeBatch(ctx context.Context, req *BatchProbeRequest) (*BatchProbeResponse, error) {
-	if err := req.check(); err != nil {
+	if err := req.check(s.rel.Len()); err != nil {
 		return nil, err
 	}
 	h, err := s.rel.AcquireCtx(ctx)

@@ -34,7 +34,8 @@
 //	GET  /healthz                       liveness
 //	GET  /metrics                       per-op counters + searcher stats
 //
-// The batch route answers up to maxBatchFocals probes in one round trip:
+// The batch route answers up to batchFocalLimit(k, n) probes in one round
+// trip (n is the shard's cardinality):
 // focal i is (xs[i], ys[i]), k is shared, and thresholds_sq, when present,
 // selects the threshold-clipped probe per focal. Its response carries the
 // candidates of every focal in flat ids/xs/ys/d_sqs arrays plus offsets:
@@ -45,8 +46,10 @@
 //
 // Every probe route reads at most maxRequestBytes of body and rejects with
 // 400 a non-positive k or a NaN threshold; the batch route also rejects
-// ragged xs/ys, a thresholds_sq of the wrong length and more than
-// maxBatchFocals focals.
+// ragged xs/ys, a thresholds_sq of the wrong length and more focals than
+// batchFocalLimit(k, n) — at most maxBatchFocals, and few enough that the
+// response holds at most maxBatchCandidates candidates. The coordinator
+// splits a unit's probes into chunks of that size.
 //
 // Block headers let the coordinator run Block-Marking as a network-transfer
 // prune: a marked non-contributing block's points are never fetched.
@@ -97,9 +100,22 @@ func (o Op) String() string {
 	}
 }
 
-// maxBatchFocals caps the focals of one batch request; the coordinator
-// splits larger batches into chunks of this size.
+// maxBatchFocals caps the focals of one batch request.
 const maxBatchFocals = 512
+
+// maxBatchCandidates caps the candidates of one batch response (about 2 MB
+// of JSON), which bounds the shard's and the coordinator's memory per
+// round trip whatever k a query asks for.
+const maxBatchCandidates = 1 << 15
+
+// batchFocalLimit returns the most focals one batch request may carry for
+// top-k probes over a shard of n points: maxBatchFocals, lowered so that
+// the response holds at most maxBatchCandidates candidates, and never
+// below one — a lone focal is exactly a single probe's worth.
+func batchFocalLimit(k, n int) int {
+	perFocal := max(1, min(k, n))
+	return max(1, min(maxBatchFocals, maxBatchCandidates/perFocal))
+}
 
 // maxRequestBytes caps the body of every probe request. A full batch
 // request is about 40 KB of JSON (60 KB with thresholds).
@@ -190,16 +206,16 @@ type BatchProbeRequest struct {
 	ThresholdsSq []float64 `json:"thresholds_sq,omitempty"`
 }
 
-// check rejects requests the shard must answer with 400.
-func (r *BatchProbeRequest) check() error {
+// check rejects requests a shard of n points must answer with 400.
+func (r *BatchProbeRequest) check(n int) error {
 	if r.K <= 0 {
 		return fmt.Errorf("k must be positive, got %d", r.K)
 	}
 	if len(r.Xs) != len(r.Ys) {
 		return fmt.Errorf("ragged focal arrays: xs=%d ys=%d", len(r.Xs), len(r.Ys))
 	}
-	if len(r.Xs) > maxBatchFocals {
-		return fmt.Errorf("%d focals exceed the batch cap of %d", len(r.Xs), maxBatchFocals)
+	if limit := batchFocalLimit(r.K, n); len(r.Xs) > limit {
+		return fmt.Errorf("%d focals exceed the batch cap of %d at k=%d", len(r.Xs), limit, r.K)
 	}
 	if r.ThresholdsSq != nil && len(r.ThresholdsSq) != len(r.Xs) {
 		return fmt.Errorf("thresholds_sq has %d entries for %d focals", len(r.ThresholdsSq), len(r.Xs))

@@ -14,14 +14,11 @@ import (
 // distances share backing arrays, and span i ends where span i+1 starts.
 // The zero value is an empty arena; a probe keeps one per member (plus one
 // for merged results) and reuses it across calls, so steady-state batches
-// allocate nothing. The per-member arena also holds the batch driver an
-// in-process member scans with, which keeps that driver bound to the one
-// shard index it serves.
+// allocate nothing.
 type Spans struct {
 	pts   []geom.Point
 	dists []float64
 	end   []int // end[i] is the exclusive end of span i
-	drv   *batch.Driver
 }
 
 // Len returns the number of spans.
@@ -65,15 +62,7 @@ func (b *Spans) reset() {
 	b.pts, b.dists, b.end = b.pts[:0], b.dists[:0], b.end[:0]
 }
 
-// release returns the arena's batch driver to its pool.
-func (b *Spans) release() {
-	if b.drv != nil {
-		batch.Release(b.drv)
-		b.drv = nil
-	}
-}
-
-// clone returns an independent copy of the spans (no driver).
+// clone returns an independent copy of the spans.
 func (b *Spans) clone() *Spans {
 	return &Spans{
 		pts:   append([]geom.Point(nil), b.pts...),
@@ -94,14 +83,18 @@ func (b *Spans) clone() *Spans {
 // focal, so every shard sees exactly the (focal, shard) probes of the
 // per-focal loop. Each round makes at most one NeighborhoodBatch call per
 // shard: in-process members run the Z-order batch driver over the round's
-// focals, remote members make one round trip. The merge per focal is the
-// probe's k-way merge, so the spans are byte-identical to calling
-// neighborhood (or neighborhoodWithinSq) once per focal.
+// focals, remote members make one round trip per bounded chunk. The merge
+// per focal is the probe's k-way merge, so the spans are byte-identical to
+// calling neighborhood (or neighborhoodWithinSq) once per focal.
 func (pr *probe) neighborhoods(focals []geom.Point, k int, thresholdsSq []float64) *Spans {
 	n, S := len(focals), len(pr.handles)
 	if pr.spans == nil {
 		pr.spans = make([]Spans, S)
 		pr.views = make([]locality.Neighborhood, S)
+		pr.drvs = make([]*batch.Driver, S)
+		for s := range pr.drvs {
+			pr.drvs[s] = batch.Acquire()
+		}
 	}
 	pr.shardOrder = grow(pr.shardOrder, n*S)
 	pr.shardMinSq = grow(pr.shardMinSq, n*S)
@@ -147,7 +140,7 @@ func (pr *probe) neighborhoods(focals []geom.Point, k int, thresholdsSq []float6
 				fault.OnShardProbe(s)
 			}
 			base := pr.spans[s].Len()
-			h.NeighborhoodBatch(sub, k, subThr, &pr.spans[s], pr.deltas[s])
+			h.NeighborhoodBatch(pr.drvs[s], sub, k, subThr, &pr.spans[s], pr.deltas[s])
 			for j, i := range subIdx {
 				pr.spanAt[i*S+s] = base + j
 			}

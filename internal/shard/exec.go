@@ -23,10 +23,10 @@ import (
 // point list, or chunks of a first join's pairs — are claimed by a bounded
 // worker crew through an atomic cursor; each worker holds a probe (one
 // pooled searcher handle per inner shard) and generates candidates
-// per-shard, merging them into exact global neighborhoods. Over remote
-// inner shards a unit's probes are coalesced: at most one round trip per
-// shard per MINDIST round of the unit, not one per outer tuple (see
-// probe.eachNeighborhood).
+// per-shard, merging them into exact global neighborhoods. A unit's probes
+// are coalesced: each inner shard gets at most one batched call per MINDIST
+// round of the unit — over a remote shard, one round trip — not one per
+// outer tuple (see probe.eachNeighborhood).
 //
 // Gather: results are concatenated and canonically sorted (SortPairs /
 // SortTriples order), which makes the output deterministic regardless of

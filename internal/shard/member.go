@@ -40,10 +40,12 @@ type Prober interface {
 	// NeighborhoodBatch appends one span per focal to dst, in input order:
 	// focal i's shard-local Neighborhood, or its NeighborhoodWithinSq at
 	// thresholdsSq[i] when thresholdsSq is non-nil (a negative threshold
-	// gives an empty span). In-process members run the Z-order batch driver
-	// (held in dst, which the caller keeps per member); remote members make
-	// one round trip per bounded chunk of focals.
-	NeighborhoodBatch(focals []geom.Point, k int, thresholdsSq []float64, dst *Spans, c *stats.Counters)
+	// gives an empty span). In-process members scan with d, the caller's
+	// Z-order batch driver for this shard (a driver caches the iterators of
+	// the index it last ran on, so one per shard keeps repeated batches
+	// allocation-free); remote members ignore d and make one round trip per
+	// bounded chunk of focals.
+	NeighborhoodBatch(d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64, dst *Spans, c *stats.Counters)
 
 	// CountStrictlyCloser conservatively counts shard points strictly closer
 	// to p than the squared threshold, stopping at k.
@@ -55,11 +57,6 @@ type Prober interface {
 
 	// Release returns the handle to its member.
 	Release()
-
-	// Local returns the backing *core.Relation handle for in-process
-	// members, nil for remote ones: the join drivers batch a unit's probes
-	// only when some member's probes cross a process boundary.
-	Local() *core.Relation
 }
 
 // Member is one shard of a Group: the acquire surface the probe assembles
@@ -192,15 +189,12 @@ func (p *localProber) NeighborhoodWithinSq(q geom.Point, k int, thresholdSq floa
 	return p.h().S.NeighborhoodWithinSq(q, k, thresholdSq, c)
 }
 
-func (p *localProber) NeighborhoodBatch(focals []geom.Point, k int, thresholdsSq []float64, dst *Spans, c *stats.Counters) {
-	if dst.drv == nil {
-		dst.drv = batch.Acquire()
-	}
+func (p *localProber) NeighborhoodBatch(d *batch.Driver, focals []geom.Point, k int, thresholdsSq []float64, dst *Spans, c *stats.Counters) {
 	var res []locality.Neighborhood
 	if thresholdsSq == nil {
-		res = dst.drv.KNNSelect(p.h(), focals, k, c)
+		res = d.KNNSelect(p.h(), focals, k, c)
 	} else {
-		res = dst.drv.SelectWithinSq(p.h(), focals, k, thresholdsSq, c)
+		res = d.SelectWithinSq(p.h(), focals, k, thresholdsSq, c)
 	}
 	for i := range res {
 		dst.appendNbr(&res[i])
@@ -214,4 +208,3 @@ func (p *localProber) CountStrictlyCloser(q geom.Point, k int, thresholdSq float
 func (p *localProber) Bind(ctx context.Context) { p.h().S.Bind(ctx) }
 func (p *localProber) Checkpoint()              { p.h().Checkpoint() }
 func (p *localProber) Release()                 { p.h().Release() }
-func (p *localProber) Local() *core.Relation    { return p.h() }

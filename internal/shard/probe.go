@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"repro/internal/batch"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/locality"
@@ -37,11 +38,13 @@ type probe struct {
 	emptyNbr locality.Neighborhood
 
 	// batched-gather scratch (see neighborhoods), allocated on first use:
-	// one result arena per shard plus the merged arena, the per-focal shard
-	// order, MINDIST² and running skip limit, each (focal, shard) pair's
-	// span index, the current round's sub-batch for one shard, and the
-	// points of the unit being gathered (see eachNeighborhood).
+	// one result arena and batch driver per shard plus the merged arena,
+	// the per-focal shard order, MINDIST² and running skip limit, each
+	// (focal, shard) pair's span index, the current round's sub-batch for
+	// one shard, and the points of the unit being gathered and the view
+	// handed out for each (see eachNeighborhood).
 	spans      []Spans
+	drvs       []*batch.Driver
 	views      []locality.Neighborhood
 	out        Spans
 	shardOrder []int
@@ -52,6 +55,7 @@ type probe struct {
 	subIdx     []int
 	subThr     []float64
 	unitPts    []geom.Point
+	unitNbr    locality.Neighborhood
 }
 
 // acquire borrows one handle per shard, blocking on bounded pools. Handles
@@ -126,7 +130,7 @@ func newProbe(g Group) *probe {
 	return pr
 }
 
-// release returns every handle (and every batch driver) to its pool and
+// release returns every handle and batch driver to its pool and
 // folds the per-shard deltas into the group's lifetime counters and into ctr
 // (the query's counter shard; nil is valid and records nothing).
 func (pr *probe) release(ctr *stats.Counters) {
@@ -137,27 +141,17 @@ func (pr *probe) release(ctr *stats.Counters) {
 		ctr.Add(pr.deltas[i])
 		h.Release()
 	}
-	for i := range pr.spans {
-		pr.spans[i].release()
+	for _, d := range pr.drvs {
+		batch.Release(d)
 	}
 }
 
 // eachNeighborhood calls fn with every point of u that keep admits (nil
 // keeps all) and the point's exact global k-neighborhood, in unit order;
-// nbr is valid only during the call. When a member's probes cross a process
-// boundary (Local() == nil) the kept points go out as one batched gather,
-// so the unit costs at most one round trip per shard per round instead of
-// one per point. All-in-process groups keep the per-point loop: batching
-// in-process join units through the batch driver showed no consistent gain.
+// nbr is valid only during the call. The kept points go out as one batched
+// gather (see neighborhoods), so over remote shards the unit costs at most
+// one round trip per shard per round instead of one per point.
 func (pr *probe) eachNeighborhood(u unit, k int, keep func(p geom.Point) bool, fn func(p geom.Point, nbr *locality.Neighborhood)) {
-	if !pr.crossesProcess() {
-		u.eachPoint(func(p geom.Point) {
-			if keep == nil || keep(p) {
-				fn(p, pr.neighborhood(p, k))
-			}
-		})
-		return
-	}
 	pts := pr.unitPts[:0]
 	u.eachPoint(func(p geom.Point) {
 		if keep == nil || keep(p) {
@@ -169,21 +163,10 @@ func (pr *probe) eachNeighborhood(u unit, k int, keep func(p geom.Point) bool, f
 		return
 	}
 	res := pr.neighborhoods(pts, k, nil)
-	var nb locality.Neighborhood
 	for i, p := range pts {
-		res.view(i, p, &nb)
-		fn(p, &nb)
+		res.view(i, p, &pr.unitNbr)
+		fn(p, &pr.unitNbr)
 	}
-}
-
-// crossesProcess reports whether any member's probes leave the process.
-func (pr *probe) crossesProcess() bool {
-	for _, h := range pr.handles {
-		if h.Local() == nil {
-			return true
-		}
-	}
-	return false
 }
 
 // neighborhood returns the exact global k nearest neighbors of p across all

@@ -68,3 +68,29 @@ func BenchmarkShardedKNNSelect(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardedKNNSelectBatch measures the batched gather over an
+// in-process sharded relation: MINDIST rounds of per-shard Z-order driver
+// scans plus the per-focal merge, at two batch sizes.
+func BenchmarkShardedKNNSelectBatch(b *testing.B) {
+	const n = 50000
+	for _, s := range []int{2, 4} {
+		for _, policy := range []twoknn.ShardPolicy{twoknn.HashSharding, twoknn.SpatialSharding} {
+			rel := buildShardedBench(b, "fig19-inner", n, s, policy)
+			for _, size := range []int{16, 1024} {
+				focals := bench.BerlinMODPoints("fig19-outer", size)
+				b.Run(fmt.Sprintf("shards=%d/%s/batch=%d", s, policy, size), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						res, err := rel.KNNSelectBatch(focals, 10)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if len(res) != size {
+							b.Fatalf("batch returned %d results", len(res))
+						}
+					}
+				})
+			}
+		}
+	}
+}
