@@ -76,7 +76,9 @@
 //   - intra-query: WithConcurrency(n) fans one join's tuple batches out
 //     across n workers, each borrowing its own handle; per-worker arena
 //     buffers make the result byte-identical to the sequential evaluation,
-//     including order.
+//     including order. Each algorithm has one implementation, and a worker
+//     count of one (n = 1, or no WithConcurrency at all) is its sequential
+//     run on the caller's goroutine.
 //
 // Stats counters are atomic, so one *Stats may accumulate across
 // concurrent queries. Clone remains available to give a long-lived

@@ -54,7 +54,7 @@ func BenchmarkKNNJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.KNNJoin(outer, inner, hotK, nil)
+		core.KNNJoin(outer, inner, hotK, 1, nil)
 	}
 }
 
@@ -67,7 +67,7 @@ func BenchmarkKNNJoinClustered(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.KNNJoin(outer, inner, hotK, nil)
+		core.KNNJoin(outer, inner, hotK, 1, nil)
 	}
 }
 
@@ -168,6 +168,6 @@ func BenchmarkKNNJoinCounting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var c stats.Counters
-		core.SelectInnerJoinCounting(outer, inner, f, hotK, 64, &c)
+		core.SelectInnerJoinCounting(outer, inner, f, hotK, 64, 1, &c)
 	}
 }

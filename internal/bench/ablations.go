@@ -71,11 +71,11 @@ var ablPreprocess = Experiment{
 				Plans: []Plan{
 					{Name: "contour", Run: func(c *stats.Counters) int {
 						return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, kDefault, kDefault,
-							core.BlockMarkingOptions{}, c))
+							core.BlockMarkingOptions{}, 1, c))
 					}},
 					{Name: "exhaustive", Run: func(c *stats.Counters) int {
 						return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, kDefault, kDefault,
-							core.BlockMarkingOptions{Exhaustive: true}, c))
+							core.BlockMarkingOptions{Exhaustive: true}, 1, c))
 					}},
 				},
 			})
@@ -105,14 +105,14 @@ var ablIndexKinds = Experiment{
 			var plans []Plan
 			plans = append(plans, Plan{Name: "grid", Run: func(c *stats.Counters) int {
 				return len(core.SelectInnerJoinBlockMarking(gridOuter, gridInner,
-					focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
+					focal, kDefault, kDefault, core.BlockMarkingOptions{}, 1, c))
 			}})
 			for _, kind := range []string{"quadtree", "kdtree", "rtree"} {
 				outer := variantRelation(kind, fmt.Sprintf("bm/fig19-outer/%d", outerN), BerlinMODPoints("fig19-outer", outerN))
 				inner := variantRelation(kind, fmt.Sprintf("bm/fig19-inner/%d", innerN), BerlinMODPoints("fig19-inner", innerN))
 				plans = append(plans, Plan{Name: kind, Run: func(c *stats.Counters) int {
 					return len(core.SelectInnerJoinBlockMarking(outer, inner,
-						focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
+						focal, kDefault, kDefault, core.BlockMarkingOptions{}, 1, c))
 				}})
 			}
 			cases = append(cases, Case{X: fmt.Sprintf("%d", outerN), Plans: plans})
@@ -185,10 +185,10 @@ var ablSkew = Experiment{
 			run  func(outer, inner *core.Relation, c *stats.Counters) int
 		}{
 			{"knn-join k=5", func(outer, inner *core.Relation, c *stats.Counters) int {
-				return len(core.KNNJoin(outer, inner, 5, c))
+				return len(core.KNNJoin(outer, inner, 5, 1, c))
 			}},
 			{"select-inner-join k=5,64", func(outer, inner *core.Relation, c *stats.Counters) int {
-				return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, 5, 64, core.BlockMarkingOptions{}, c))
+				return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, 5, 64, core.BlockMarkingOptions{}, 1, c))
 			}},
 		}
 		var cases []Case
@@ -224,7 +224,7 @@ var ablParallel = Experiment{
 			plans = append(plans, Plan{
 				Name: fmt.Sprintf("workers=%d", workers),
 				Run: func(c *stats.Counters) int {
-					return len(core.KNNJoinParallel(outer, inner, kDefault, workers, c))
+					return len(core.KNNJoin(outer, inner, kDefault, workers, c))
 				},
 			})
 		}
@@ -409,13 +409,13 @@ var ablKernel = Experiment{
 			Case{
 				X: fmt.Sprintf("join-cells256-%d", joinN),
 				Plans: kernelPlans(func(c *stats.Counters) int {
-					return len(core.KNNJoin(outer, inner, kDefault, c))
+					return len(core.KNNJoin(outer, inner, kDefault, 1, c))
 				}),
 			},
 			Case{
 				X: fmt.Sprintf("counting-ksel64-%d", joinN),
 				Plans: kernelPlans(func(c *stats.Counters) int {
-					return len(core.SelectInnerJoinCounting(outer, inner, focal, kDefault, 64, c))
+					return len(core.SelectInnerJoinCounting(outer, inner, focal, kDefault, 64, 1, c))
 				}),
 			},
 		)
@@ -504,7 +504,7 @@ var ablShards = Experiment{
 					{Name: "single", Run: func(c *stats.Counters) int {
 						h := innerSingle.Acquire()
 						defer h.Release()
-						return len(core.KNNJoin(outerSingle, h, kDefault, c))
+						return len(core.KNNJoin(outerSingle, h, kDefault, 1, c))
 					}},
 					{Name: "hash", Run: func(c *stats.Counters) int {
 						return len(shard.Join(nil, outerHash, innerHash, kDefault, 1, c))
@@ -714,7 +714,7 @@ var ablCancel = Experiment{
 					{Name: "unbound", Run: func(c *stats.Counters) int {
 						h := inner.Acquire()
 						defer h.Release()
-						return len(core.KNNJoin(outer, h, kDefault, c))
+						return len(core.KNNJoin(outer, h, kDefault, 1, c))
 					}},
 					{Name: "bound-ctx", Run: func(c *stats.Counters) int {
 						h, err := inner.AcquireCtx(liveCtx)
@@ -722,7 +722,7 @@ var ablCancel = Experiment{
 							panic(err) // liveCtx never expires
 						}
 						defer h.Release()
-						return len(core.KNNJoin(outer, h, kDefault, c))
+						return len(core.KNNJoin(outer, h, kDefault, 1, c))
 					}},
 				},
 			})

@@ -104,10 +104,10 @@ var fig19 = Experiment{
 				X: fmt.Sprintf("%d", outerN),
 				Plans: []Plan{
 					{Name: "conceptual", Run: func(c *stats.Counters) int {
-						return len(core.SelectInnerJoinConceptual(outer, inner, focal, kDefault, kDefault, c))
+						return len(core.SelectInnerJoinConceptual(outer, inner, focal, kDefault, kDefault, 1, c))
 					}},
 					{Name: "block-marking", Run: func(c *stats.Counters) int {
-						return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
+						return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, kDefault, kDefault, core.BlockMarkingOptions{}, 1, c))
 					}},
 				},
 			})
@@ -137,10 +137,10 @@ func countingVsBlockMarking(id, expect string, ciSizes, paperSizes []int) Experi
 					X: fmt.Sprintf("%d", outerN),
 					Plans: []Plan{
 						{Name: "counting", Run: func(c *stats.Counters) int {
-							return len(core.SelectInnerJoinCounting(outer, inner, focal, kDefault, kDefault, c))
+							return len(core.SelectInnerJoinCounting(outer, inner, focal, kDefault, kDefault, 1, c))
 						}},
 						{Name: "block-marking", Run: func(c *stats.Counters) int {
-							return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, kDefault, kDefault, core.BlockMarkingOptions{}, c))
+							return len(core.SelectInnerJoinBlockMarking(outer, inner, focal, kDefault, kDefault, core.BlockMarkingOptions{}, 1, c))
 						}},
 					},
 				})
@@ -189,10 +189,10 @@ var fig22 = Experiment{
 				X: fmt.Sprintf("%d", cN),
 				Plans: []Plan{
 					{Name: "conceptual", Run: func(c *stats.Counters) int {
-						return len(core.UnchainedConceptual(a, b, cRel, kAB, kDefault, c))
+						return len(core.UnchainedConceptual(a, b, cRel, kAB, kDefault, 1, c))
 					}},
 					{Name: "block-marking", Run: func(c *stats.Counters) int {
-						return len(core.UnchainedBlockMarking(a, b, cRel, kAB, kDefault, core.OrderABFirst, c))
+						return len(core.UnchainedBlockMarking(a, b, cRel, kAB, kDefault, core.OrderABFirst, 1, c))
 					}},
 				},
 			})
@@ -242,10 +242,10 @@ var fig23 = Experiment{
 				X: fmt.Sprintf("%d", gap),
 				Plans: []Plan{
 					{Name: "start-with-AB", Run: func(c *stats.Counters) int {
-						return len(core.UnchainedBlockMarking(a, b, cRel, kDefault, kDefault, core.OrderABFirst, c))
+						return len(core.UnchainedBlockMarking(a, b, cRel, kDefault, kDefault, core.OrderABFirst, 1, c))
 					}},
 					{Name: "start-with-CB", Run: func(c *stats.Counters) int {
-						return len(core.UnchainedBlockMarking(a, b, cRel, kDefault, kDefault, core.OrderCBFirst, c))
+						return len(core.UnchainedBlockMarking(a, b, cRel, kDefault, kDefault, core.OrderCBFirst, 1, c))
 					}},
 				},
 			})
@@ -273,10 +273,10 @@ var fig24 = Experiment{
 				X: fmt.Sprintf("%d", n),
 				Plans: []Plan{
 					{Name: "nested-nocache", Run: func(c *stats.Counters) int {
-						return len(core.ChainedJoins(a, b, cRel, kDefault, kDefault, core.ChainedNestedJoin, c))
+						return len(core.ChainedJoins(a, b, cRel, kDefault, kDefault, core.ChainedNestedJoin, 1, c))
 					}},
 					{Name: "nested-cached", Run: func(c *stats.Counters) int {
-						return len(core.ChainedJoins(a, b, cRel, kDefault, kDefault, core.ChainedNestedJoinCached, c))
+						return len(core.ChainedJoins(a, b, cRel, kDefault, kDefault, core.ChainedNestedJoinCached, 1, c))
 					}},
 				},
 			})
@@ -312,10 +312,10 @@ var fig25 = Experiment{
 				X: fmt.Sprintf("%d", nc),
 				Plans: []Plan{
 					{Name: "join-intersection", Run: func(c *stats.Counters) int {
-						return len(core.ChainedJoins(a, b, cRel, k, k, core.ChainedJoinIntersection, c))
+						return len(core.ChainedJoins(a, b, cRel, k, k, core.ChainedJoinIntersection, 1, c))
 					}},
 					{Name: "nested-cached", Run: func(c *stats.Counters) int {
-						return len(core.ChainedJoins(a, b, cRel, k, k, core.ChainedNestedJoinCached, c))
+						return len(core.ChainedJoins(a, b, cRel, k, k, core.ChainedNestedJoinCached, 1, c))
 					}},
 				},
 			})

@@ -153,20 +153,20 @@ func advQueries(rel, partner *core.Relation, live []geom.Point) map[string]any {
 			put(fmt.Sprintf("two-selects-conceptual f%d k%d", fi, k), core.TwoSelectsConceptual(rel, f, k, f2, 4, nil))
 			for side, pair := range map[string][2]*core.Relation{"outer": {rel, partner}, "inner": {partner, rel}} {
 				outer, inner := pair[0], pair[1]
-				put(fmt.Sprintf("select-outer-join %s f%d k%d", side, fi, k), core.SelectOuterJoin(outer, inner, f, k, 2, nil))
-				put(fmt.Sprintf("sij-conceptual %s f%d k%d", side, fi, k), core.SelectInnerJoinConceptual(outer, inner, f, 2, k, nil))
-				put(fmt.Sprintf("sij-counting %s f%d k%d", side, fi, k), core.SelectInnerJoinCounting(outer, inner, f, 2, k, nil))
+				put(fmt.Sprintf("select-outer-join %s f%d k%d", side, fi, k), core.SelectOuterJoin(outer, inner, f, k, 2, 1, nil))
+				put(fmt.Sprintf("sij-conceptual %s f%d k%d", side, fi, k), core.SelectInnerJoinConceptual(outer, inner, f, 2, k, 1, nil))
+				put(fmt.Sprintf("sij-counting %s f%d k%d", side, fi, k), core.SelectInnerJoinCounting(outer, inner, f, 2, k, 1, nil))
 				for _, exhaustive := range []bool{false, true} {
 					put(fmt.Sprintf("sij-block-marking %s f%d k%d exhaustive=%v", side, fi, k, exhaustive),
-						core.SelectInnerJoinBlockMarking(outer, inner, f, 2, k, core.BlockMarkingOptions{Exhaustive: exhaustive}, nil))
+						core.SelectInnerJoinBlockMarking(outer, inner, f, 2, k, core.BlockMarkingOptions{Exhaustive: exhaustive}, 1, nil))
 				}
 			}
 		}
 	}
 	for _, k := range []int{1, 4} {
-		put(fmt.Sprintf("knn-join self k%d", k), core.KNNJoin(rel, rel, k, nil))
-		put(fmt.Sprintf("knn-join outer k%d", k), core.KNNJoin(rel, partner, k, nil))
-		put(fmt.Sprintf("knn-join inner k%d", k), core.KNNJoin(partner, rel, k, nil))
+		put(fmt.Sprintf("knn-join self k%d", k), core.KNNJoin(rel, rel, k, 1, nil))
+		put(fmt.Sprintf("knn-join outer k%d", k), core.KNNJoin(rel, partner, k, 1, nil))
+		put(fmt.Sprintf("knn-join inner k%d", k), core.KNNJoin(partner, rel, k, 1, nil))
 	}
 	return out
 }

@@ -19,9 +19,9 @@ func TestKNNJoinAllocsBounded(t *testing.T) {
 	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(2000, bounds, 51))
 	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(2000, bounds, 52))
 
-	core.KNNJoin(outer, inner, k, nil) // warm the searcher scratch
+	core.KNNJoin(outer, inner, k, 1, nil) // warm the searcher scratch
 	avg := testing.AllocsPerRun(5, func() {
-		core.KNNJoin(outer, inner, k, nil)
+		core.KNNJoin(outer, inner, k, 1, nil)
 	})
 	// 2000 outer points produce 16000 pairs; the result slice needs a
 	// handful of allocations to grow there. Anything near the outer
@@ -31,14 +31,34 @@ func TestKNNJoinAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestSelectOuterJoinAllocsBounded pins the sequential result presize: the
+// kSel selected points join into one slice sized up front, so the join adds
+// a constant handful of allocations instead of one per growth step.
+func TestSelectOuterJoinAllocsBounded(t *testing.T) {
+	bounds := geom.NewRect(0, 0, 1000, 1000)
+	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(2000, bounds, 55))
+	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(2000, bounds, 56))
+	f := geom.Point{X: 500, Y: 500}
+
+	core.SelectOuterJoin(outer, inner, f, 64, 5, 1, nil) // warm the searcher scratch
+	avg := testing.AllocsPerRun(20, func() {
+		core.SelectOuterJoin(outer, inner, f, 64, 5, 1, nil)
+	})
+	// The select's copy, the presized result and the driver's closures; an
+	// unsized result grows through about ten reallocations to 320 pairs.
+	if avg > 8 {
+		t.Errorf("SelectOuterJoin allocates %v per query, want ≤ 8 (presized result)", avg)
+	}
+}
+
 func TestKNNJoinParallelMatchesSequentialAllocsAreBounded(t *testing.T) {
 	const k = 5
 	bounds := geom.NewRect(0, 0, 1000, 1000)
 	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(1500, bounds, 53))
 	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(1500, bounds, 54))
 
-	seq := core.KNNJoin(outer, inner, k, nil)
-	par := core.KNNJoinParallel(outer, inner, k, 4, nil)
+	seq := core.KNNJoin(outer, inner, k, 1, nil)
+	par := core.KNNJoin(outer, inner, k, 4, nil)
 	if len(seq) != len(par) {
 		t.Fatalf("parallel join cardinality %d != sequential %d", len(par), len(seq))
 	}

@@ -43,7 +43,7 @@ func TestChainedQEPsEquivalent(t *testing.T) {
 			for _, ks := range []struct{ kAB, kBC int }{{1, 1}, {2, 2}, {3, 5}} {
 				var want []core.Triple
 				for i, qep := range qeps {
-					got := core.ChainedJoins(a, b, c, ks.kAB, ks.kBC, qep, nil)
+					got := core.ChainedJoins(a, b, c, ks.kAB, ks.kBC, qep, 1, nil)
 					core.SortTriples(got)
 					if i == 0 {
 						want = got
@@ -70,7 +70,7 @@ func TestChainedAgainstFirstPrinciples(t *testing.T) {
 	c := testutil.BuildRelation(t, testutil.Grid, cPts)
 	kAB, kBC := 3, 4
 
-	got := core.ChainedJoins(a, b, c, kAB, kBC, core.ChainedAuto, nil)
+	got := core.ChainedJoins(a, b, c, kAB, kBC, core.ChainedAuto, 1, nil)
 	core.SortTriples(got)
 
 	var want []core.Triple
@@ -98,7 +98,7 @@ func TestChainedCacheCounters(t *testing.T) {
 	c := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(100, chBounds, 1023))
 
 	var ctr stats.Counters
-	got := core.ChainedJoins(a, b, c, 3, 2, core.ChainedNestedJoinCached, &ctr)
+	got := core.ChainedJoins(a, b, c, 3, 2, core.ChainedNestedJoinCached, 1, &ctr)
 
 	if ctr.CacheHits == 0 {
 		t.Errorf("expected cache hits on clustered outer data; counters: %v", &ctr)
@@ -114,7 +114,7 @@ func TestChainedCacheCounters(t *testing.T) {
 	// Uncached nested join must recompute: neighborhoods strictly exceed
 	// the cached run's.
 	var unctr stats.Counters
-	core.ChainedJoins(a, b, c, 3, 2, core.ChainedNestedJoin, &unctr)
+	core.ChainedJoins(a, b, c, 3, 2, core.ChainedNestedJoin, 1, &unctr)
 	if unctr.Neighborhoods <= ctr.Neighborhoods {
 		t.Errorf("uncached neighborhoods (%d) should exceed cached (%d)", unctr.Neighborhoods, ctr.Neighborhoods)
 	}
@@ -136,8 +136,8 @@ func TestChainedNestedSkipsUnselectedB(t *testing.T) {
 	c := testutil.BuildRelation(t, testutil.Grid, cPts)
 
 	var nested, rightDeep stats.Counters
-	core.ChainedJoins(a, b, c, 2, 2, core.ChainedNestedJoinCached, &nested)
-	core.ChainedJoins(a, b, c, 2, 2, core.ChainedRightDeep, &rightDeep)
+	core.ChainedJoins(a, b, c, 2, 2, core.ChainedNestedJoinCached, 1, &nested)
+	core.ChainedJoins(a, b, c, 2, 2, core.ChainedRightDeep, 1, &rightDeep)
 
 	// The right-deep plan materializes a C-neighborhood for every b (100);
 	// the nested plan touches only selected b's (≤ 50).
@@ -153,16 +153,16 @@ func TestChainedDegenerate(t *testing.T) {
 	c := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(10, chBounds, 1043))
 
 	for _, qep := range []core.ChainedQEP{core.ChainedRightDeep, core.ChainedJoinIntersection, core.ChainedNestedJoinCached} {
-		if got := core.ChainedJoins(a, b, c, 0, 3, qep, nil); len(got) != 0 {
+		if got := core.ChainedJoins(a, b, c, 0, 3, qep, 1, nil); len(got) != 0 {
 			t.Errorf("%v: kAB=0 must give empty result", qep)
 		}
-		if got := core.ChainedJoins(a, b, c, 3, 0, qep, nil); len(got) != 0 {
+		if got := core.ChainedJoins(a, b, c, 3, 0, qep, 1, nil); len(got) != 0 {
 			t.Errorf("%v: kBC=0 must give empty result", qep)
 		}
 	}
 
 	// Oversized k: full cross product through both joins.
-	got := core.ChainedJoins(a, b, c, 100, 100, core.ChainedAuto, nil)
+	got := core.ChainedJoins(a, b, c, 100, 100, core.ChainedAuto, 1, nil)
 	if len(got) != 10*10*10 {
 		t.Errorf("oversized k: got %d triples, want 1000", len(got))
 	}
@@ -176,9 +176,9 @@ func TestChainedRandomSweep(t *testing.T) {
 		c := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(20+rng.Intn(60), chBounds, rng.Int63()))
 		kAB, kBC := 1+rng.Intn(4), 1+rng.Intn(4)
 
-		want := core.ChainedJoins(a, b, c, kAB, kBC, core.ChainedRightDeep, nil)
+		want := core.ChainedJoins(a, b, c, kAB, kBC, core.ChainedRightDeep, 1, nil)
 		core.SortTriples(want)
-		got := core.ChainedJoins(a, b, c, kAB, kBC, core.ChainedNestedJoinCached, nil)
+		got := core.ChainedJoins(a, b, c, kAB, kBC, core.ChainedNestedJoinCached, 1, nil)
 		core.SortTriples(got)
 		if !triplesEqual(got, want) {
 			t.Fatalf("trial %d: nested-cached differs from right-deep (%d vs %d)", trial, len(got), len(want))
@@ -219,10 +219,10 @@ func TestChainedQEPsAgreeWithDuplicates(t *testing.T) {
 	b := testutil.BuildRelation(t, testutil.Grid, dup(80))
 	c := testutil.BuildRelation(t, testutil.Grid, dup(70))
 
-	want := core.ChainedJoins(a, b, c, 3, 3, core.ChainedRightDeep, nil)
+	want := core.ChainedJoins(a, b, c, 3, 3, core.ChainedRightDeep, 1, nil)
 	core.SortTriples(want)
 	for _, qep := range []core.ChainedQEP{core.ChainedJoinIntersection, core.ChainedNestedJoin, core.ChainedNestedJoinCached} {
-		got := core.ChainedJoins(a, b, c, 3, 3, qep, nil)
+		got := core.ChainedJoins(a, b, c, 3, 3, qep, 1, nil)
 		core.SortTriples(got)
 		if !triplesEqual(got, want) {
 			t.Fatalf("%v differs from right-deep under duplicates: %d vs %d triples", qep, len(got), len(want))

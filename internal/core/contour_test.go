@@ -36,25 +36,25 @@ func TestBlockMarkingContourCountsEmptyCells(t *testing.T) {
 	const kJoin, kSel = 3, 10
 	inner := testutil.BuildRelation(t, testutil.Grid, append(copies(f, kSel), copies(nc, 30)...))
 
-	want := sortedPairs(core.SelectInnerJoinConceptual(outer, inner, f, kJoin, kSel, nil))
+	want := sortedPairs(core.SelectInnerJoinConceptual(outer, inner, f, kJoin, kSel, 1, nil))
 	if len(want) == 0 {
 		t.Fatal("fixture lost its far contributing point")
 	}
 	for _, exhaustive := range []bool{false, true} {
 		got := sortedPairs(core.SelectInnerJoinBlockMarking(outer, inner, f, kJoin, kSel,
-			core.BlockMarkingOptions{Exhaustive: exhaustive}, nil))
+			core.BlockMarkingOptions{Exhaustive: exhaustive}, 1, nil))
 		if !pairsEqual(got, want) {
 			t.Fatalf("exhaustive=%v: Block-Marking %v, conceptual %v", exhaustive, got, want)
 		}
 	}
 	rect := geom.NewRect(90, 490, 110, 510)
-	want = sortedPairs(core.RangeInnerJoinConceptual(outer, inner, rect, kJoin, nil))
+	want = sortedPairs(core.RangeInnerJoinConceptual(outer, inner, rect, kJoin, 1, nil))
 	if len(want) == 0 {
 		t.Fatal("range fixture lost its far contributing point")
 	}
 	for _, exhaustive := range []bool{false, true} {
 		got := sortedPairs(core.RangeInnerJoinBlockMarking(outer, inner, rect, kJoin,
-			core.BlockMarkingOptions{Exhaustive: exhaustive}, nil))
+			core.BlockMarkingOptions{Exhaustive: exhaustive}, 1, nil))
 		if !pairsEqual(got, want) {
 			t.Fatalf("exhaustive=%v: range Block-Marking %v, conceptual %v", exhaustive, got, want)
 		}

@@ -29,10 +29,12 @@
 //
 // Beyond the paper, the package provides the concurrency layer for serving
 // many queries over one shared index: a per-relation SearcherPool of
-// query-local handles (pool.go), and *Parallel variants of the join
-// algorithms that fan tuple batches out across pooled handles with
-// per-worker arena buffers (parallel.go). Every parallel variant returns
-// results byte-identical to its sequential counterpart, order included.
+// query-local handles (pool.go), and one execution driver (parallel.go)
+// that every join algorithm runs on. Each algorithm takes a worker count:
+// workers <= 1 evaluates sequentially on the caller's goroutine, and more
+// fan tuple batches out across pooled handles with per-worker arena
+// buffers. Every worker count returns byte-identical results, order
+// included.
 package core
 
 import (
@@ -61,7 +63,7 @@ type Relation struct {
 
 	// store is the relation-wide columnar point store Ix permuted its input
 	// into (block-contiguous spans, stable IDs); nil when the index keeps no
-	// unified store (the dynamic grid).
+	// unified store (an overlay snapshot of a mutated relation).
 	store *geom.PointStore
 
 	// pool recycles per-goroutine query handles over Ix; nil on hand-built

@@ -35,26 +35,33 @@ func joinResultCap(exact int) int {
 // KNNJoin evaluates outer ⋈kNN inner: all pairs (e1, e2) with e1 from the
 // outer relation and e2 among the k nearest neighbors of e1 in the inner
 // relation. This is the paper's basic join building block; every point of
-// the outer relation incurs one neighborhood computation.
-func KNNJoin(outer, inner *Relation, k int, c *stats.Counters) []Pair {
+// the outer relation incurs one neighborhood computation. The outer blocks
+// fan out across workers, each holding a pooled searcher handle on the
+// inner relation; workers <= 1 evaluates sequentially on the caller's
+// goroutine, and every worker count returns the same pairs in the same
+// order.
+func KNNJoin(outer, inner *Relation, k, workers int, c *stats.Counters) []Pair {
 	if k <= 0 {
 		return nil
 	}
-	out := make([]Pair, 0, joinResultCap(outer.Len()*min(k, inner.Len())))
-	// Same scan order as outer.ForEachPoint, unrolled one level so the join
-	// loop itself checkpoints cancellation once per outer block span.
-	for _, b := range outer.Ix.Blocks() {
-		inner.Checkpoint()
-		xs, ys := b.XYs()
-		for i := range xs {
-			e1 := geom.Point{X: xs[i], Y: ys[i]}
-			nbr := inner.S.Neighborhood(e1, k, c)
-			for _, e2 := range nbr.Points {
-				out = append(out, Pair{Left: e1, Right: e2})
-			}
-		}
+	out := parallelEmit(&pairArenas, tupleGroups{blocks: outer.Ix.Blocks()}, inner, workers,
+		joinResultCap(outer.Len()*min(k, inner.Len())), c, nil, knnPairEmitter(k))
+	if out == nil {
+		out = []Pair{} // a valid k yields a non-nil slice
 	}
 	return out
+}
+
+// knnPairEmitter returns the plain kNN-join emitter: the neighborhood of
+// each outer point, as (outer, neighbor) pairs.
+func knnPairEmitter(k int) func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
+	return func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
+		nbr := h.S.Neighborhood(e1, k, ctr)
+		for _, e2 := range nbr.Points {
+			dst = append(dst, Pair{Left: e1, Right: e2})
+		}
+		return dst
+	}
 }
 
 // sortedPointSet returns the points of nbr as a canonically sorted slice for

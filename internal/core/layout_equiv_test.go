@@ -121,9 +121,9 @@ func TestLayoutEquivalenceAllShapes(t *testing.T) {
 				wantSIJ := sortedPairs(refIntersectRight(
 					refKNNJoin(aPts, bPts, kJoin), refKNN(bPts, f, kSel)))
 				for name, got := range map[string][]core.Pair{
-					"conceptual":    core.SelectInnerJoinConceptual(a, b, f, kJoin, kSel, nil),
-					"counting":      core.SelectInnerJoinCounting(a, b, f, kJoin, kSel, nil),
-					"block-marking": core.SelectInnerJoinBlockMarking(a, b, f, kJoin, kSel, core.BlockMarkingOptions{}, nil),
+					"conceptual":    core.SelectInnerJoinConceptual(a, b, f, kJoin, kSel, 1, nil),
+					"counting":      core.SelectInnerJoinCounting(a, b, f, kJoin, kSel, 1, nil),
+					"block-marking": core.SelectInnerJoinBlockMarking(a, b, f, kJoin, kSel, core.BlockMarkingOptions{}, 1, nil),
 				} {
 					if diff := sortedPairs(got); !reflect.DeepEqual(diff, wantSIJ) {
 						t.Fatalf("%s/seed %d: select-inner-join %s diverged from AoS reference:\ngot  %v\nwant %v",
@@ -133,7 +133,7 @@ func TestLayoutEquivalenceAllShapes(t *testing.T) {
 
 				// Shape 2: kNN-select on the outer relation.
 				wantSOJ := sortedPairs(refKNNJoin(refKNN(aPts, f, kSel), bPts, kJoin))
-				if got := sortedPairs(core.SelectOuterJoin(a, b, f, kSel, kJoin, nil)); !reflect.DeepEqual(got, wantSOJ) {
+				if got := sortedPairs(core.SelectOuterJoin(a, b, f, kSel, kJoin, 1, nil)); !reflect.DeepEqual(got, wantSOJ) {
 					t.Fatalf("%s/seed %d: select-outer-join diverged from AoS reference", kind, seed)
 				}
 
@@ -141,8 +141,8 @@ func TestLayoutEquivalenceAllShapes(t *testing.T) {
 				wantUnchained := sortedTriples(refIntersectOnB(
 					refKNNJoin(aPts, bPts, kJoin), refKNNJoin(cPts, bPts, kJoin)))
 				for name, got := range map[string][]core.Triple{
-					"conceptual":    core.UnchainedConceptual(a, b, cRel, kJoin, kJoin, nil),
-					"block-marking": core.UnchainedBlockMarking(a, b, cRel, kJoin, kJoin, core.OrderAuto, nil),
+					"conceptual":    core.UnchainedConceptual(a, b, cRel, kJoin, kJoin, 1, nil),
+					"block-marking": core.UnchainedBlockMarking(a, b, cRel, kJoin, kJoin, core.OrderAuto, 1, nil),
 				} {
 					if diff := sortedTriples(got); !reflect.DeepEqual(diff, wantUnchained) {
 						t.Fatalf("%s/seed %d: unchained %s diverged from AoS reference", kind, seed, name)
@@ -160,7 +160,7 @@ func TestLayoutEquivalenceAllShapes(t *testing.T) {
 				}
 				wantChainedS := sortedTriples(wantChained)
 				for _, qep := range []core.ChainedQEP{core.ChainedRightDeep, core.ChainedNestedJoinCached} {
-					got := sortedTriples(core.ChainedJoins(a, b, cRel, kJoin, kJoin, qep, nil))
+					got := sortedTriples(core.ChainedJoins(a, b, cRel, kJoin, kJoin, qep, 1, nil))
 					if !reflect.DeepEqual(got, wantChainedS) {
 						t.Fatalf("%s/seed %d: chained %v diverged from AoS reference", kind, seed, qep)
 					}
@@ -187,9 +187,9 @@ func TestLayoutEquivalenceAllShapes(t *testing.T) {
 				}
 				wantRangeS := sortedPairs(wantRange)
 				for name, got := range map[string][]core.Pair{
-					"conceptual":    core.RangeInnerJoinConceptual(a, b, rng, kJoin, nil),
-					"counting":      core.RangeInnerJoinCounting(a, b, rng, kJoin, nil),
-					"block-marking": core.RangeInnerJoinBlockMarking(a, b, rng, kJoin, core.BlockMarkingOptions{}, nil),
+					"conceptual":    core.RangeInnerJoinConceptual(a, b, rng, kJoin, 1, nil),
+					"counting":      core.RangeInnerJoinCounting(a, b, rng, kJoin, 1, nil),
+					"block-marking": core.RangeInnerJoinBlockMarking(a, b, rng, kJoin, core.BlockMarkingOptions{}, 1, nil),
 				} {
 					if diff := sortedPairs(got); !reflect.DeepEqual(diff, wantRangeS) {
 						t.Fatalf("%s/seed %d: range-inner-join %s diverged from AoS reference", kind, seed, name)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,16 +10,17 @@ import (
 	"repro/internal/stats"
 )
 
-// This file implements the batched parallel execution driver shared by the
-// *Parallel variants of the join algorithms. The outer relation's tuples
-// are split into groups (index blocks, or fixed-size chunks of a selected
-// point list); a fixed crew of workers claims groups through an atomic
-// cursor, each worker holding a pooled searcher handle on the inner
-// relation. Workers append their results into a private *arena* drawn from
-// a process-wide pool and record one (start, end) span per group, so the
-// driver performs no per-group result allocation at all; the per-group
-// spans are concatenated once, in group order, which makes every parallel
-// result byte-identical to its sequential counterpart — including order.
+// This file implements the execution driver every join algorithm of the
+// package runs on. The outer relation's tuples are split into groups (index
+// blocks, or chunks of a selected point list). With one worker the groups
+// are emitted in order on the caller's goroutine. With more, a fixed crew
+// of workers claims groups through an atomic cursor, each worker holding a
+// pooled searcher handle on the inner relation. Workers append their
+// results into a private *arena* drawn from a process-wide pool and record
+// one (start, end) span per group, so the driver performs no per-group
+// result allocation at all; the per-group spans are concatenated once, in
+// group order, which makes the result byte-identical at every worker
+// count — including order.
 //
 // Extra worker handles come from the inner relation's SearcherPool via
 // TryAcquire: on a bounded pool that is already at capacity the crew
@@ -79,19 +79,6 @@ func concatSpans[T any](spans []span, arenas []*arena[T]) []T {
 	return out
 }
 
-// normalizeWorkers resolves a worker-count request against the group count:
-// non-positive means GOMAXPROCS, and there is no point running more workers
-// than groups.
-func normalizeWorkers(workers, groups int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > groups {
-		workers = groups
-	}
-	return workers
-}
-
 // worker is one crew member's behavior in a parallelRun: emit produces the
 // results of one outer tuple, gate (optional) admits or skips a whole
 // group before its points are emitted, and done (optional) releases any
@@ -102,25 +89,35 @@ type worker[T any] struct {
 	done func()
 }
 
-// tupleGroup is one unit of outer-tuple work for the parallel driver:
-// either a block span (scanned over the store's flat X/Y columns, no point
-// materialization up front) or an explicit point list (chunks of a selected
-// point set).
-type tupleGroup struct {
-	blk *index.Block
-	pts []geom.Point
+// tupleGroups lists the units of outer-tuple work for the driver: either
+// the spans of index blocks (scanned over the store's flat X/Y columns, no
+// point materialization up front), or contiguous chunks of an explicit
+// point list (a selected point set). The groups are described, not
+// materialized, so listing them allocates nothing.
+type tupleGroups struct {
+	blocks []*index.Block // one group per block, when chunk == 0
+	pts    []geom.Point   // otherwise: pts cut into chunks of chunk points
+	chunk  int
 }
 
-// emitGroup runs wk.emit over every tuple of the group, appending to buf.
-func emitGroup[T any](g tupleGroup, wk worker[T], buf []T) []T {
-	if g.blk != nil {
-		xs, ys := g.blk.XYs()
+// count returns the number of groups.
+func (g tupleGroups) count() int {
+	if g.chunk == 0 {
+		return len(g.blocks)
+	}
+	return (len(g.pts) + g.chunk - 1) / g.chunk
+}
+
+// emitGroup runs wk.emit over every tuple of group gi, appending to buf.
+func emitGroup[T any](g tupleGroups, gi int, wk worker[T], buf []T) []T {
+	if g.chunk == 0 {
+		xs, ys := g.blocks[gi].XYs()
 		for i := range xs {
 			buf = wk.emit(geom.Point{X: xs[i], Y: ys[i]}, buf)
 		}
 		return buf
 	}
-	for _, e1 := range g.pts {
+	for _, e1 := range g.pts[gi*g.chunk : min((gi+1)*g.chunk, len(g.pts))] {
 		buf = wk.emit(e1, buf)
 	}
 	return buf
@@ -135,30 +132,36 @@ func emitGroup[T any](g tupleGroup, wk worker[T], buf []T) []T {
 // false stands the worker down — the remaining crew drains the groups; the
 // primary worker must always succeed.
 //
-// workers <= 1 (after normalization against the group count) degenerates
-// to a sequential loop on the caller's goroutine with no arena machinery.
-func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, workers int,
+// workers <= 1 (after capping at the group count) is the sequential
+// evaluation: one loop on the caller's goroutine with no arena
+// machinery, its output presized to sizeHint elements (0: grow on demand).
+// A nil result means no rows.
+func parallelRun[T any](ap *arenaPool[T], groups tupleGroups, inner *Relation, workers, sizeHint int,
 	c *stats.Counters,
 	newWorker func(h *Relation, primary bool, ctr *stats.Counters) (worker[T], bool)) []T {
 
-	workers = normalizeWorkers(workers, len(groups))
+	n := groups.count()
+	workers = min(workers, n) // no more workers than groups
 	if workers <= 1 {
 		wk, _ := newWorker(inner, true, c)
 		if wk.done != nil {
 			defer wk.done()
 		}
 		var out []T
-		for gi, g := range groups {
+		if sizeHint > 0 {
+			out = make([]T, 0, sizeHint)
+		}
+		for gi := 0; gi < n; gi++ {
 			inner.Checkpoint()
 			if wk.gate != nil && !wk.gate(gi) {
 				continue
 			}
-			out = emitGroup(g, wk, out)
+			out = emitGroup(groups, gi, wk, out)
 		}
 		return out
 	}
 
-	spans := make([]span, len(groups))
+	spans := make([]span, n)
 	arenas := make([]*arena[T], workers)
 	// Counter shards are individually allocated (not one contiguous slice)
 	// so adjacent workers' atomic increments do not false-share cache
@@ -225,7 +228,7 @@ func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, 
 					return
 				}
 				gi := int(cursor.Add(1)) - 1
-				if gi >= len(groups) {
+				if gi >= n {
 					return
 				}
 				h.Checkpoint()
@@ -233,7 +236,7 @@ func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, 
 					continue
 				}
 				start := len(a.buf)
-				a.buf = emitGroup(groups[gi], wk, a.buf)
+				a.buf = emitGroup(groups, gi, wk, a.buf)
 				spans[gi] = span{worker: w, start: start, end: len(a.buf)}
 			}
 		}(w)
@@ -261,12 +264,12 @@ func parallelRun[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, 
 // parallelEmit is parallelRun for the common case of stateless workers: a
 // per-point emit (and optional per-group gate) parameterized only by the
 // worker's handle and counter shard.
-func parallelEmit[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation, workers int,
+func parallelEmit[T any](ap *arenaPool[T], groups tupleGroups, inner *Relation, workers, sizeHint int,
 	c *stats.Counters,
 	gate func(h *Relation, gi int, ctr *stats.Counters) bool,
 	emit func(h *Relation, e1 geom.Point, dst []T, ctr *stats.Counters) []T) []T {
 
-	return parallelRun(ap, groups, inner, workers, c,
+	return parallelRun(ap, groups, inner, workers, sizeHint, c,
 		func(h *Relation, _ bool, ctr *stats.Counters) (worker[T], bool) {
 			wk := worker[T]{emit: func(e1 geom.Point, dst []T) []T { return emit(h, e1, dst, ctr) }}
 			if gate != nil {
@@ -276,76 +279,17 @@ func parallelEmit[T any](ap *arenaPool[T], groups []tupleGroup, inner *Relation,
 		})
 }
 
-// pointGroups exposes a block list as emission groups (one span per
-// block), preserving block order so parallel results concatenate into the
-// sequential order. No points are materialized; workers scan the spans.
-func pointGroups(blocks []*index.Block) []tupleGroup {
-	groups := make([]tupleGroup, len(blocks))
-	for i, b := range blocks {
-		groups[i] = tupleGroup{blk: b}
-	}
-	return groups
-}
-
-// blockGroups is pointGroups over the relation's full block partition —
-// the same order ForEachPoint scans.
-func blockGroups(rel *Relation) []tupleGroup {
-	return pointGroups(rel.Ix.Blocks())
-}
-
-// pointChunks splits a point list into contiguous chunks sized for dynamic
-// load balancing across workers (several chunks per worker so a slow chunk
-// does not straggle the crew).
-func pointChunks(pts []geom.Point, workers int) []tupleGroup {
+// pointChunks splits a point list into contiguous chunks: one chunk for a
+// sequential run, otherwise chunks sized for dynamic load balancing across
+// workers (several chunks per worker so a slow chunk does not straggle the
+// crew).
+func pointChunks(pts []geom.Point, workers int) tupleGroups {
 	if len(pts) == 0 {
-		return nil
+		return tupleGroups{}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	chunk := len(pts)
+	if workers > 1 {
+		chunk = max(1, (len(pts)+workers*4-1)/(workers*4))
 	}
-	chunk := (len(pts) + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	groups := make([]tupleGroup, 0, (len(pts)+chunk-1)/chunk)
-	for start := 0; start < len(pts); start += chunk {
-		end := start + chunk
-		if end > len(pts) {
-			end = len(pts)
-		}
-		groups = append(groups, tupleGroup{pts: pts[start:end]})
-	}
-	return groups
-}
-
-// knnPairEmitter returns the plain kNN-join emitter: the neighborhood of
-// each outer point, as (outer, neighbor) pairs.
-func knnPairEmitter(k int) func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
-	return func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
-		nbr := h.S.Neighborhood(e1, k, ctr)
-		for _, e2 := range nbr.Points {
-			dst = append(dst, Pair{Left: e1, Right: e2})
-		}
-		return dst
-	}
-}
-
-// KNNJoinParallel evaluates outer ⋈kNN inner with the outer relation's
-// blocks fanned out across workers, each holding a pooled searcher handle
-// on the inner relation. The result is identical — including order — to the
-// sequential KNNJoin. workers <= 0 uses GOMAXPROCS; workers == 1 (or a
-// degenerate outer partition) falls back to the sequential join.
-func KNNJoinParallel(outer, inner *Relation, k, workers int, c *stats.Counters) []Pair {
-	if k <= 0 {
-		return nil
-	}
-	groups := blockGroups(outer)
-	if normalizeWorkers(workers, len(groups)) <= 1 {
-		return KNNJoin(outer, inner, k, c)
-	}
-	out := parallelEmit(&pairArenas, groups, inner, workers, c, nil, knnPairEmitter(k))
-	if out == nil {
-		out = []Pair{} // KNNJoin returns a non-nil slice for valid k
-	}
-	return out
+	return tupleGroups{pts: pts, chunk: chunk}
 }

@@ -19,9 +19,9 @@ func TestKNNJoinParallelMatchesSequential(t *testing.T) {
 		outer := testutil.BuildRelation(t, kind, testutil.UniformPoints(500, bounds, 1301))
 		inner := testutil.BuildRelation(t, kind, testutil.UniformPoints(700, bounds, 1302))
 
-		want := core.KNNJoin(outer, inner, 4, nil)
+		want := core.KNNJoin(outer, inner, 4, 1, nil)
 		for _, workers := range []int{0, 1, 2, 4, 16, 1000} {
-			got := core.KNNJoinParallel(outer, inner, 4, workers, nil)
+			got := core.KNNJoin(outer, inner, 4, workers, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s workers=%d: %d pairs, want %d", kind, workers, len(got), len(want))
 			}
@@ -41,8 +41,8 @@ func TestKNNJoinParallelCounters(t *testing.T) {
 	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(300, bounds, 1312))
 
 	var seq, par stats.Counters
-	core.KNNJoin(outer, inner, 3, &seq)
-	core.KNNJoinParallel(outer, inner, 3, 4, &par)
+	core.KNNJoin(outer, inner, 3, 1, &seq)
+	core.KNNJoin(outer, inner, 3, 4, &par)
 
 	if par.Neighborhoods != seq.Neighborhoods {
 		t.Errorf("parallel neighborhoods = %d, sequential = %d", par.Neighborhoods, seq.Neighborhoods)
@@ -52,9 +52,13 @@ func TestKNNJoinParallelCounters(t *testing.T) {
 	}
 }
 
-// TestParallelVariantsMatchSequential checks that every *Parallel algorithm
-// returns the exact sequential result — same rows, same order — across
-// worker counts. Run with -race to validate the synchronization.
+// TestParallelVariantsMatchSequential checks that every algorithm, strategy,
+// unchained join order and chained QEP returns the exact sequential result
+// — same rows, same order — and the same counters at every worker count.
+// Per-worker neighborhood caches are the one sanctioned difference: extra
+// workers miss where the sequential cache hits, so the cached chained plans
+// hold only the lookup total and the uncached neighborhood count fixed. Run
+// with -race to validate the synchronization.
 func TestParallelVariantsMatchSequential(t *testing.T) {
 	bounds := geom.NewRect(0, 0, 1000, 1000)
 	a := testutil.BuildRelation(t, testutil.Grid, testutil.ClusteredPoints(500, 5, 40, bounds, 1401))
@@ -64,65 +68,79 @@ func TestParallelVariantsMatchSequential(t *testing.T) {
 	rng := geom.NewRect(300, 300, 700, 700)
 	const kJoin, kSel = 4, 12
 
-	cases := []struct {
-		name string
-		seq  func() any
-		par  func(workers int) any
-	}{
-		{"SelectInnerJoinConceptual",
-			func() any { return core.SelectInnerJoinConceptual(a, b, f, kJoin, kSel, nil) },
-			func(w int) any { return core.SelectInnerJoinConceptualParallel(a, b, f, kJoin, kSel, w, nil) }},
-		{"SelectInnerJoinCounting",
-			func() any { return core.SelectInnerJoinCounting(a, b, f, kJoin, kSel, nil) },
-			func(w int) any { return core.SelectInnerJoinCountingParallel(a, b, f, kJoin, kSel, w, nil) }},
-		{"SelectInnerJoinBlockMarking",
-			func() any {
-				return core.SelectInnerJoinBlockMarking(a, b, f, kJoin, kSel, core.BlockMarkingOptions{}, nil)
-			},
-			func(w int) any {
-				return core.SelectInnerJoinBlockMarkingParallel(a, b, f, kJoin, kSel, core.BlockMarkingOptions{}, w, nil)
-			}},
-		{"SelectOuterJoin",
-			func() any { return core.SelectOuterJoin(a, b, f, kSel, kJoin, nil) },
-			func(w int) any { return core.SelectOuterJoinParallel(a, b, f, kSel, kJoin, w, nil) }},
-		{"RangeInnerJoinConceptual",
-			func() any { return core.RangeInnerJoinConceptual(a, b, rng, kJoin, nil) },
-			func(w int) any { return core.RangeInnerJoinConceptualParallel(a, b, rng, kJoin, w, nil) }},
-		{"RangeInnerJoinCounting",
-			func() any { return core.RangeInnerJoinCounting(a, b, rng, kJoin, nil) },
-			func(w int) any { return core.RangeInnerJoinCountingParallel(a, b, rng, kJoin, w, nil) }},
-		{"RangeInnerJoinBlockMarking",
-			func() any { return core.RangeInnerJoinBlockMarking(a, b, rng, kJoin, core.BlockMarkingOptions{}, nil) },
-			func(w int) any {
-				return core.RangeInnerJoinBlockMarkingParallel(a, b, rng, kJoin, core.BlockMarkingOptions{}, w, nil)
-			}},
-		{"UnchainedConceptual",
-			func() any { return core.UnchainedConceptual(a, b, cRel, kJoin, kJoin, nil) },
-			func(w int) any { return core.UnchainedConceptualParallel(a, b, cRel, kJoin, kJoin, w, nil) }},
-		{"UnchainedBlockMarking",
-			func() any { return core.UnchainedBlockMarking(a, b, cRel, kJoin, kJoin, core.OrderAuto, nil) },
-			func(w int) any {
-				return core.UnchainedBlockMarkingParallel(a, b, cRel, kJoin, kJoin, core.OrderAuto, w, nil)
-			}},
+	type variant struct {
+		name   string
+		cached bool // per-worker neighborhood caches
+		run    func(workers int, c *stats.Counters) any
 	}
-	for _, qep := range []core.ChainedQEP{core.ChainedRightDeep, core.ChainedJoinIntersection,
+	cases := []variant{
+		{"KNNJoin", false, func(w int, c *stats.Counters) any { return core.KNNJoin(a, b, kJoin, w, c) }},
+		{"SelectInnerJoinConceptual", false, func(w int, c *stats.Counters) any {
+			return core.SelectInnerJoinConceptual(a, b, f, kJoin, kSel, w, c)
+		}},
+		{"SelectInnerJoinCounting", false, func(w int, c *stats.Counters) any {
+			return core.SelectInnerJoinCounting(a, b, f, kJoin, kSel, w, c)
+		}},
+		{"SelectInnerJoinBlockMarking", false, func(w int, c *stats.Counters) any {
+			return core.SelectInnerJoinBlockMarking(a, b, f, kJoin, kSel, core.BlockMarkingOptions{}, w, c)
+		}},
+		{"SelectInnerJoinBlockMarking-exhaustive", false, func(w int, c *stats.Counters) any {
+			return core.SelectInnerJoinBlockMarking(a, b, f, kJoin, kSel, core.BlockMarkingOptions{Exhaustive: true}, w, c)
+		}},
+		{"SelectOuterJoin", false, func(w int, c *stats.Counters) any {
+			return core.SelectOuterJoin(a, b, f, kSel, kJoin, w, c)
+		}},
+		{"RangeInnerJoinConceptual", false, func(w int, c *stats.Counters) any {
+			return core.RangeInnerJoinConceptual(a, b, rng, kJoin, w, c)
+		}},
+		{"RangeInnerJoinCounting", false, func(w int, c *stats.Counters) any {
+			return core.RangeInnerJoinCounting(a, b, rng, kJoin, w, c)
+		}},
+		{"RangeInnerJoinBlockMarking", false, func(w int, c *stats.Counters) any {
+			return core.RangeInnerJoinBlockMarking(a, b, rng, kJoin, core.BlockMarkingOptions{}, w, c)
+		}},
+		{"UnchainedConceptual", false, func(w int, c *stats.Counters) any {
+			return core.UnchainedConceptual(a, b, cRel, kJoin, kJoin, w, c)
+		}},
+	}
+	for _, order := range []core.JoinOrder{core.OrderAuto, core.OrderABFirst, core.OrderCBFirst} {
+		name := "UnchainedBlockMarking"
+		if order != core.OrderAuto {
+			name += "-" + order.String()
+		}
+		cases = append(cases, variant{name, false, func(w int, c *stats.Counters) any {
+			return core.UnchainedBlockMarking(a, b, cRel, kJoin, kJoin, order, w, c)
+		}})
+	}
+	for _, qep := range []core.ChainedQEP{core.ChainedAuto, core.ChainedRightDeep, core.ChainedJoinIntersection,
 		core.ChainedNestedJoin, core.ChainedNestedJoinCached} {
-		qep := qep
-		cases = append(cases, struct {
-			name string
-			seq  func() any
-			par  func(workers int) any
-		}{"ChainedJoins/" + qep.String(),
-			func() any { return core.ChainedJoins(a, b, cRel, kJoin, kJoin, qep, nil) },
-			func(w int) any { return core.ChainedJoinsParallel(a, b, cRel, kJoin, kJoin, qep, w, nil) }})
+		cached := qep == core.ChainedAuto || qep == core.ChainedNestedJoinCached
+		cases = append(cases, variant{"ChainedJoins/" + qep.String(), cached, func(w int, c *stats.Counters) any {
+			return core.ChainedJoins(a, b, cRel, kJoin, kJoin, qep, w, c)
+		}})
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			want := tc.seq()
+			var seq stats.Counters
+			want := tc.run(1, &seq)
+			if seq.Neighborhoods == 0 {
+				t.Fatal("sequential run computed no neighborhoods")
+			}
 			for _, workers := range []int{2, 4, 16} {
-				if got := tc.par(workers); !reflect.DeepEqual(got, want) {
-					t.Fatalf("workers=%d: parallel result diverges from sequential", workers)
+				var par stats.Counters
+				if got := tc.run(workers, &par); !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: result diverges from the sequential run", workers)
+				}
+				if !tc.cached {
+					if par != seq {
+						t.Fatalf("workers=%d: counters %+v, sequential %+v", workers, par, seq)
+					}
+					continue
+				}
+				if par.CacheHits+par.CacheMisses != seq.CacheHits+seq.CacheMisses ||
+					par.Neighborhoods-par.CacheMisses != seq.Neighborhoods-seq.CacheMisses {
+					t.Fatalf("workers=%d: cache counters %+v, sequential %+v", workers, par, seq)
 				}
 			}
 		})
@@ -134,10 +152,10 @@ func TestKNNJoinParallelDegenerate(t *testing.T) {
 	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(5, bounds, 1321))
 	inner := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(5, bounds, 1322))
 
-	if got := core.KNNJoinParallel(outer, inner, 0, 4, nil); len(got) != 0 {
+	if got := core.KNNJoin(outer, inner, 0, 4, nil); len(got) != 0 {
 		t.Errorf("k=0 must return no pairs")
 	}
-	got := core.KNNJoinParallel(outer, inner, 10, 4, nil)
+	got := core.KNNJoin(outer, inner, 10, 4, nil)
 	if len(got) != 25 {
 		t.Errorf("oversized k: %d pairs, want 25", len(got))
 	}

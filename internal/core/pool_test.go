@@ -149,14 +149,14 @@ func TestParallelJoinDegradesOnExhaustedBoundedPool(t *testing.T) {
 	outer := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(400, bounds, 2008))
 	inner := boundedRelation(t, 400, 2009, 1)
 
-	want := core.KNNJoin(outer, inner, 4, nil)
+	want := core.KNNJoin(outer, inner, 4, 1, nil)
 
 	// Hold the only handle so every extra worker's TryAcquire fails.
 	h, err := inner.TryAcquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := core.KNNJoinParallel(outer, inner, 4, 8, nil)
+	got := core.KNNJoin(outer, inner, 4, 8, nil)
 	h.Release()
 
 	if !reflect.DeepEqual(got, want) {

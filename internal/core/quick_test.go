@@ -49,8 +49,8 @@ func TestQuickMarkContributingSoundness(t *testing.T) {
 		if nbrF.Len() == 0 {
 			return true
 		}
-		contributing := markContributingBlocks(outer, inner, f, nbrF.FarthestDist(), kj,
-			BlockMarkingOptions{}, nil)
+		contributing := markContributingBlocks(outer, inner, f, kj, BlockMarkingOptions{}, nil,
+			selectNonContributing(f, nbrF.FarthestDist()))
 		inContrib := make(map[geom.Point]bool)
 		for _, b := range contributing {
 			for p := range b.Points() {
@@ -58,7 +58,7 @@ func TestQuickMarkContributingSoundness(t *testing.T) {
 			}
 		}
 
-		want := SelectInnerJoinConceptual(outer, inner, f, kj, ks, nil)
+		want := SelectInnerJoinConceptual(outer, inner, f, kj, ks, 1, nil)
 		for _, pr := range want {
 			if !inContrib[pr.Left] {
 				t.Logf("seed=%d k⋈=%d kσ=%d: result point %v lives in a pruned block", seed, kj, ks, pr.Left)
@@ -91,7 +91,7 @@ func TestQuickCountingSkipSoundness(t *testing.T) {
 		if nbrF.Len() == 0 {
 			return true
 		}
-		want := SelectInnerJoinConceptual(outer, inner, f, kj, ks, nil)
+		want := SelectInnerJoinConceptual(outer, inner, f, kj, ks, 1, nil)
 		resultLeft := make(map[geom.Point]bool)
 		for _, pr := range want {
 			resultLeft[pr.Left] = true

@@ -41,11 +41,12 @@ func (f flatPoints) minDistSqTo(p geom.Point) float64 {
 // SelectInnerJoinConceptual is the conceptually correct QEP of Figure 1:
 // evaluate the full kNN-join, evaluate the kNN-select independently, and
 // intersect. It is the correctness baseline and the slow comparator of
-// Figures 19–21.
-func SelectInnerJoinConceptual(outer, inner *Relation, f geom.Point, kJoin, kSel int, c *stats.Counters) []Pair {
+// Figures 19–21. The join fans out across workers (the select and the
+// intersection are negligible next to it).
+func SelectInnerJoinConceptual(outer, inner *Relation, f geom.Point, kJoin, kSel, workers int, c *stats.Counters) []Pair {
 	nbrF := inner.S.Neighborhood(f, kSel, c)
 	sel := sortedPointSet(nbrF) // copied out: nbrF is invalidated by the join's searches
-	pairs := KNNJoin(outer, inner, kJoin, c)
+	pairs := KNNJoin(outer, inner, kJoin, workers, c)
 	return intersectPairs(pairs, sel)
 }
 
@@ -63,24 +64,23 @@ func InvalidInnerPushdown(outer, inner *Relation, f geom.Point, kJoin, kSel int,
 	if err != nil {
 		return nil, err
 	}
-	return KNNJoin(outer, reduced, kJoin, c), nil
+	return KNNJoin(outer, reduced, kJoin, 1, c), nil
 }
 
 // SelectOuterJoin evaluates a query with the kNN-select on the *outer*
 // relation of the join: (σ_{kσ,f}(E1)) ⋈kNN E2. Pushing the selection below
 // the outer relation is valid (Figure 3 of the paper), so this simply
-// selects and then joins the selected points.
-func SelectOuterJoin(outer, inner *Relation, f geom.Point, kSel, kJoin int, c *stats.Counters) []Pair {
+// selects and then joins the selected points, in contiguous chunks across
+// workers.
+func SelectOuterJoin(outer, inner *Relation, f geom.Point, kSel, kJoin, workers int, c *stats.Counters) []Pair {
 	selected := KNNSelect(outer, f, kSel, c)
 	if kJoin <= 0 {
 		return nil
 	}
-	out := make([]Pair, 0, len(selected)*kJoin)
-	for _, e1 := range selected {
-		nbr := inner.S.Neighborhood(e1, kJoin, c)
-		for _, e2 := range nbr.Points {
-			out = append(out, Pair{Left: e1, Right: e2})
-		}
+	out := parallelEmit(&pairArenas, pointChunks(selected, workers), inner, workers,
+		joinResultCap(len(selected)*min(kJoin, inner.Len())), c, nil, knnPairEmitter(kJoin))
+	if out == nil {
+		out = []Pair{} // a valid k yields a non-nil slice
 	}
 	return out
 }
@@ -90,12 +90,13 @@ func SelectOuterJoin(outer, inner *Relation, f geom.Point, kSel, kJoin int, c *s
 // nearest point of f's neighborhood — and counts inner points in blocks that
 // lie entirely (strictly) within that threshold. Once the count reaches k⋈,
 // e1's neighborhood provably cannot reach f's neighborhood and e1 is skipped
-// without a neighborhood computation.
+// without a neighborhood computation. The skip decision is independent per
+// tuple, so the outer blocks fan out across workers.
 //
 // The implementation uses strict comparisons (count blocks with
 // MAXDIST < threshold, skip at count ≥ k⋈), which is safe under exact
 // distance ties; see DESIGN.md §3.2.
-func SelectInnerJoinCounting(outer, inner *Relation, f geom.Point, kJoin, kSel int, c *stats.Counters) []Pair {
+func SelectInnerJoinCounting(outer, inner *Relation, f geom.Point, kJoin, kSel, workers int, c *stats.Counters) []Pair {
 	if kJoin <= 0 || kSel <= 0 {
 		return nil
 	}
@@ -103,107 +104,24 @@ func SelectInnerJoinCounting(outer, inner *Relation, f geom.Point, kJoin, kSel i
 	if nbrF.Len() == 0 {
 		return nil
 	}
-	// The f-neighborhood is consulted per outer tuple while the same
-	// searcher keeps running queries, so its points are copied out of the
-	// reusable result: once as the sorted intersection set, once flattened
-	// to X/Y columns for the batched per-tuple threshold scans.
+	// The f-neighborhood is consulted per outer tuple while the searchers
+	// keep running queries, so its points are copied out of the reusable
+	// result: once as the sorted intersection set, once flattened to X/Y
+	// columns for the batched per-tuple threshold scans. Both are read-only
+	// to the workers.
 	sel := sortedPointSet(nbrF)
 	flat := flattenPoints(nbrF.Points)
 
-	var out []Pair
-	outer.ForEachPoint(func(e1 geom.Point) {
-		// The threshold is compared squared against block MAXDIST² values;
-		// deriving it squared (not sqrt-then-square) keeps exact ties exact.
-		count := inner.S.CountStrictlyCloser(e1, kJoin, flat.minDistSqTo(e1), c)
-
-		if count >= kJoin {
-			// ≥ k⋈ inner points strictly closer to e1 than any point of
-			// nbr(f): e1 cannot contribute.
-			c.AddOuterSkipped(1)
-			return
-		}
-		nbrE1 := inner.S.Neighborhood(e1, kJoin, c)
-		out = emitIntersection(out, e1, nbrE1, sel)
-	})
-	return out
-}
-
-// SelectInnerJoinConceptualParallel is SelectInnerJoinConceptual with the
-// full kNN-join fanned out across workers (the select and the intersection
-// are negligible next to the join).
-func SelectInnerJoinConceptualParallel(outer, inner *Relation, f geom.Point, kJoin, kSel, workers int, c *stats.Counters) []Pair {
-	nbrF := inner.S.Neighborhood(f, kSel, c)
-	sel := sortedPointSet(nbrF) // copied out: nbrF is invalidated by the join's searches
-	pairs := KNNJoinParallel(outer, inner, kJoin, workers, c)
-	return intersectPairs(pairs, sel)
-}
-
-// SelectOuterJoinParallel is SelectOuterJoin with the selected points'
-// join fanned out across workers in contiguous chunks. Results are
-// identical — including order — to the sequential evaluation.
-func SelectOuterJoinParallel(outer, inner *Relation, f geom.Point, kSel, kJoin, workers int, c *stats.Counters) []Pair {
-	selected := KNNSelect(outer, f, kSel, c)
-	if kJoin <= 0 {
-		return nil
-	}
-	out := parallelEmit(&pairArenas, pointChunks(selected, workers), inner, workers, c, nil,
-		knnPairEmitter(kJoin))
-	if out == nil {
-		out = []Pair{} // SelectOuterJoin returns a non-nil slice for valid k
-	}
-	return out
-}
-
-// SelectInnerJoinCountingParallel is the Counting algorithm with the
-// per-tuple scans fanned out across workers over the outer relation's
-// blocks. The count-based skip decision is independent per tuple, so the
-// result is identical — including order — to SelectInnerJoinCounting.
-func SelectInnerJoinCountingParallel(outer, inner *Relation, f geom.Point, kJoin, kSel, workers int, c *stats.Counters) []Pair {
-	if kJoin <= 0 || kSel <= 0 {
-		return nil
-	}
-	nbrF := inner.S.Neighborhood(f, kSel, c)
-	if nbrF.Len() == 0 {
-		return nil
-	}
-	// The workers consult the f-neighborhood concurrently while their
-	// handles keep running queries, so its points are copied out of the
-	// reusable result (sorted set + flat columns, both read-only to the
-	// workers).
-	sel := sortedPointSet(nbrF)
-	flat := flattenPoints(nbrF.Points)
-
-	return parallelEmit(&pairArenas, blockGroups(outer), inner, workers, c, nil,
+	return parallelEmit(&pairArenas, tupleGroups{blocks: outer.Ix.Blocks()}, inner, workers, 0, c, nil,
 		func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
+			// The threshold is compared squared against block MAXDIST²
+			// values; deriving it squared (not sqrt-then-square) keeps exact
+			// ties exact. ≥ k⋈ inner points strictly closer to e1 than any
+			// point of nbr(f): e1 cannot contribute.
 			if h.S.CountStrictlyCloser(e1, kJoin, flat.minDistSqTo(e1), ctr) >= kJoin {
 				ctr.AddOuterSkipped(1)
 				return dst
 			}
-			return emitIntersection(dst, e1, h.S.Neighborhood(e1, kJoin, ctr), sel)
-		})
-}
-
-// SelectInnerJoinBlockMarkingParallel is the Block-Marking algorithm with
-// the join over Contributing blocks fanned out across workers. The marking
-// preprocessing itself stays sequential: the contour early-stop is a
-// data-dependent scan in MINDIST order that cannot be split without giving
-// up its early termination.
-func SelectInnerJoinBlockMarkingParallel(outer, inner *Relation, f geom.Point, kJoin, kSel int,
-	opt BlockMarkingOptions, workers int, c *stats.Counters) []Pair {
-
-	if kJoin <= 0 || kSel <= 0 {
-		return nil
-	}
-	nbrF := inner.S.Neighborhood(f, kSel, c)
-	if nbrF.Len() == 0 {
-		return nil
-	}
-	sel := sortedPointSet(nbrF)
-	fFarthest := nbrF.FarthestDist()
-
-	contributing := markContributingBlocks(outer, inner, f, fFarthest, kJoin, opt, c)
-	return parallelEmit(&pairArenas, pointGroups(contributing), inner, workers, c, nil,
-		func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
 			return emitIntersection(dst, e1, h.S.Neighborhood(e1, kJoin, ctr), sel)
 		})
 }
@@ -221,9 +139,12 @@ type BlockMarkingOptions struct {
 // and 3). A preprocessing pass over the blocks of the *outer* relation marks
 // each block Contributing or Non-Contributing using the neighborhood of the
 // block center (Theorem 1: the center minimizes the search threshold); the
-// join then runs only over points in Contributing blocks.
+// join then runs only over points in Contributing blocks, fanned out across
+// workers. The marking itself stays sequential: the contour early-stop is a
+// data-dependent scan in MINDIST order that cannot be split without giving
+// up its early termination.
 func SelectInnerJoinBlockMarking(outer, inner *Relation, f geom.Point, kJoin, kSel int,
-	opt BlockMarkingOptions, c *stats.Counters) []Pair {
+	opt BlockMarkingOptions, workers int, c *stats.Counters) []Pair {
 
 	if kJoin <= 0 || kSel <= 0 {
 		return nil
@@ -237,35 +158,40 @@ func SelectInnerJoinBlockMarking(outer, inner *Relation, f geom.Point, kJoin, kS
 	sel := sortedPointSet(nbrF)
 	fFarthest := nbrF.FarthestDist()
 
-	contributing := markContributingBlocks(outer, inner, f, fFarthest, kJoin, opt, c)
-
-	var out []Pair
-	for _, b := range contributing {
-		xs, ys := b.XYs()
-		for i := range xs {
-			e1 := geom.Point{X: xs[i], Y: ys[i]}
-			nbrE1 := inner.S.Neighborhood(e1, kJoin, c)
-			out = emitIntersection(out, e1, nbrE1, sel)
-		}
-	}
-	return out
+	contributing := markContributingBlocks(outer, inner, f, kJoin, opt, c, selectNonContributing(f, fFarthest))
+	return parallelEmit(&pairArenas, tupleGroups{blocks: contributing}, inner, workers, 0, c, nil,
+		func(h *Relation, e1 geom.Point, dst []Pair, ctr *stats.Counters) []Pair {
+			return emitIntersection(dst, e1, h.S.Neighborhood(e1, kJoin, ctr), sel)
+		})
 }
 
-// markContributingBlocks is the preprocessing phase (Procedure 3). It scans
-// the outer blocks in MINDIST order from f. A block is Non-Contributing when
+// selectNonContributing is the Block-Marking test of the kNN-select form: a
+// block is Non-Contributing when
 //
 //	r + diagonal + fFarthest < fCenter,
 //
-// where r is the distance from the block center to the k⋈-th neighbor of the
-// center in the inner relation, fFarthest the radius of f's neighborhood and
-// fCenter the distance from f to the block center. With the contour
-// optimization enabled, scanning stops once a complete cycle of
-// Non-Contributing blocks has been closed: when the scan reaches a block
-// whose MINDIST from f is at least the MAXDIST (M) of the first
-// Non-Contributing block of the current cycle, all remaining blocks are
-// pruned without inspection.
-func markContributingBlocks(outer, inner *Relation, f geom.Point, fFarthest float64,
-	kJoin int, opt BlockMarkingOptions, c *stats.Counters) []*index.Block {
+// where fFarthest is the radius of f's neighborhood and fCenter the
+// distance from f to the block center.
+func selectNonContributing(f geom.Point, fFarthest float64) func(b *index.Block, center geom.Point, r float64) bool {
+	return func(b *index.Block, center geom.Point, r float64) bool {
+		return r+b.Diagonal()+fFarthest < center.Dist(f)
+	}
+}
+
+// markContributingBlocks is the preprocessing phase (Procedure 3), shared by
+// the kNN-select and range forms of Block-Marking. It scans the outer
+// blocks in MINDIST order from focal. For each block it computes r, the
+// distance from the block center to the center's k⋈-th neighbor in the
+// inner relation, and asks nonContributing whether the block provably
+// cannot contribute. With the contour optimization enabled, scanning stops
+// once a complete cycle of Non-Contributing blocks has been closed: when
+// the scan reaches a block whose MINDIST from focal is at least the MAXDIST
+// (M) of the first Non-Contributing block of the current cycle, all
+// remaining blocks are pruned without inspection. The Contributing
+// non-empty blocks are returned in scan order.
+func markContributingBlocks(outer, inner *Relation, focal geom.Point, kJoin int,
+	opt BlockMarkingOptions, c *stats.Counters,
+	nonContributing func(b *index.Block, center geom.Point, r float64) bool) []*index.Block {
 
 	exhaustive := opt.Exhaustive || !index.TilesSpace(outer.Ix)
 	blocks := outer.Ix.Blocks()
@@ -275,7 +201,7 @@ func markContributingBlocks(outer, inner *Relation, f geom.Point, fFarthest floa
 	// empty ones included, to be checked as a region, so the scan walks the
 	// full tiling rather than the index's occupied-blocks iterator.
 	var contributing []*index.Block
-	scan := index.NewMinDistScan(blocks, f)
+	scan := index.NewMinDistScan(blocks, focal)
 	mSq := -1.0 // squared MAXDIST of the first NC block of the open cycle; <0: no open cycle
 	scanned := 0
 	for {
@@ -293,25 +219,20 @@ func markContributingBlocks(outer, inner *Relation, f geom.Point, fFarthest floa
 
 		center := b.Center()
 		nbr := inner.S.Neighborhood(center, kJoin, c)
-		r := nbr.FarthestDist()
-		fCenter := center.Dist(f)
-
 		// The NC guarantee needs a full-size neighborhood: with fewer than
 		// k⋈ inner points inside radius r, the bound on a block point's
 		// k⋈-th-NN distance does not hold.
-		nonContributing := nbr.Len() == kJoin && r+b.Diagonal()+fFarthest < fCenter
-
-		if nonContributing {
+		if nbr.Len() == kJoin && nonContributing(b, center, nbr.FarthestDist()) {
 			c.AddBlocksPruned(1)
 			if mSq < 0 {
-				mSq = b.Bounds.MaxDistSq(f) // first NC block of a new cycle
+				mSq = b.Bounds.MaxDistSq(focal) // first NC block of a new cycle
 			}
-		} else {
-			if b.Count() > 0 {
-				contributing = append(contributing, b)
-			}
-			mSq = -1 // cycle broken; start over
+			continue
 		}
+		if b.Count() > 0 {
+			contributing = append(contributing, b)
+		}
+		mSq = -1 // cycle broken; start over
 	}
 	c.AddBlocksScanned(scanned)
 	return contributing

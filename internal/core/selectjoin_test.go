@@ -46,10 +46,10 @@ func TestSelectInnerJoinEquivalence(t *testing.T) {
 			for _, ks := range []struct{ kJoin, kSel int }{{1, 1}, {2, 2}, {5, 10}, {10, 3}, {16, 40}} {
 				f := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 
-				want := core.SelectInnerJoinConceptual(outer, inner, f, ks.kJoin, ks.kSel, nil)
+				want := core.SelectInnerJoinConceptual(outer, inner, f, ks.kJoin, ks.kSel, 1, nil)
 				core.SortPairs(want)
 
-				counting := core.SelectInnerJoinCounting(outer, inner, f, ks.kJoin, ks.kSel, nil)
+				counting := core.SelectInnerJoinCounting(outer, inner, f, ks.kJoin, ks.kSel, 1, nil)
 				core.SortPairs(counting)
 				if !pairsEqual(counting, want) {
 					t.Fatalf("%s/%s k⋈=%d kσ=%d f=%v: Counting differs from conceptual\n got %d pairs\nwant %d pairs",
@@ -58,7 +58,7 @@ func TestSelectInnerJoinEquivalence(t *testing.T) {
 
 				for _, exhaustive := range []bool{false, true} {
 					bm := core.SelectInnerJoinBlockMarking(outer, inner, f, ks.kJoin, ks.kSel,
-						core.BlockMarkingOptions{Exhaustive: exhaustive}, nil)
+						core.BlockMarkingOptions{Exhaustive: exhaustive}, 1, nil)
 					core.SortPairs(bm)
 					if !pairsEqual(bm, want) {
 						t.Fatalf("%s/%s k⋈=%d kσ=%d f=%v exhaustive=%v: Block-Marking differs from conceptual\n got %d pairs\nwant %d pairs",
@@ -92,7 +92,7 @@ func TestSelectInnerJoinAgainstBruteForce(t *testing.T) {
 	f := geom.Point{X: 500, Y: 500}
 	kJoin, kSel := 4, 7
 
-	got := core.SelectInnerJoinConceptual(outer, inner, f, kJoin, kSel, nil)
+	got := core.SelectInnerJoinConceptual(outer, inner, f, kJoin, kSel, 1, nil)
 	core.SortPairs(got)
 
 	// First principles: e2 must be in kNN(e1) AND kNN(f).
@@ -149,7 +149,7 @@ func TestOuterPushdownIsValid(t *testing.T) {
 	kSel, kJoin := 12, 3
 
 	// Pushed: select then join (what SelectOuterJoin does).
-	pushed := core.SelectOuterJoin(outer, inner, f, kSel, kJoin, nil)
+	pushed := core.SelectOuterJoin(outer, inner, f, kSel, kJoin, 1, nil)
 	core.SortPairs(pushed)
 
 	// Late: full join, then keep pairs whose Left survives the select.
@@ -158,7 +158,7 @@ func TestOuterPushdownIsValid(t *testing.T) {
 		sel[p] = struct{}{}
 	}
 	var late []core.Pair
-	for _, pr := range core.KNNJoin(outer, inner, kJoin, nil) {
+	for _, pr := range core.KNNJoin(outer, inner, kJoin, 1, nil) {
 		if _, ok := sel[pr.Left]; ok {
 			late = append(late, pr)
 		}
@@ -186,7 +186,7 @@ func TestCountingPrunesAndBlockMarkingPrunes(t *testing.T) {
 	f := geom.Point{X: 10, Y: 10}
 
 	var cc stats.Counters
-	res := core.SelectInnerJoinCounting(outer, inner, f, 5, 5, &cc)
+	res := core.SelectInnerJoinCounting(outer, inner, f, 5, 5, 1, &cc)
 	if len(res) != 0 {
 		t.Fatalf("expected empty result, got %d pairs", len(res))
 	}
@@ -195,7 +195,7 @@ func TestCountingPrunesAndBlockMarkingPrunes(t *testing.T) {
 	}
 
 	var bc stats.Counters
-	res = core.SelectInnerJoinBlockMarking(outer, inner, f, 5, 5, core.BlockMarkingOptions{}, &bc)
+	res = core.SelectInnerJoinBlockMarking(outer, inner, f, 5, 5, core.BlockMarkingOptions{}, 1, &bc)
 	if len(res) != 0 {
 		t.Fatalf("expected empty result, got %d pairs", len(res))
 	}
@@ -210,13 +210,13 @@ func TestSelectInnerJoinDegenerate(t *testing.T) {
 	f := geom.Point{X: 1, Y: 1}
 
 	for _, fn := range []func() []core.Pair{
-		func() []core.Pair { return core.SelectInnerJoinCounting(outer, inner, f, 0, 5, nil) },
-		func() []core.Pair { return core.SelectInnerJoinCounting(outer, inner, f, 5, 0, nil) },
+		func() []core.Pair { return core.SelectInnerJoinCounting(outer, inner, f, 0, 5, 1, nil) },
+		func() []core.Pair { return core.SelectInnerJoinCounting(outer, inner, f, 5, 0, 1, nil) },
 		func() []core.Pair {
-			return core.SelectInnerJoinBlockMarking(outer, inner, f, 0, 5, core.BlockMarkingOptions{}, nil)
+			return core.SelectInnerJoinBlockMarking(outer, inner, f, 0, 5, core.BlockMarkingOptions{}, 1, nil)
 		},
 		func() []core.Pair {
-			return core.SelectInnerJoinBlockMarking(outer, inner, f, -1, -1, core.BlockMarkingOptions{}, nil)
+			return core.SelectInnerJoinBlockMarking(outer, inner, f, -1, -1, core.BlockMarkingOptions{}, 1, nil)
 		},
 	} {
 		if got := fn(); len(got) != 0 {
@@ -225,9 +225,9 @@ func TestSelectInnerJoinDegenerate(t *testing.T) {
 	}
 
 	// k values exceeding both cardinalities: every (e1, e2) pair qualifies.
-	want := core.SelectInnerJoinConceptual(outer, inner, f, 50, 50, nil)
+	want := core.SelectInnerJoinConceptual(outer, inner, f, 50, 50, 1, nil)
 	core.SortPairs(want)
-	got := core.SelectInnerJoinCounting(outer, inner, f, 50, 50, nil)
+	got := core.SelectInnerJoinCounting(outer, inner, f, 50, 50, 1, nil)
 	core.SortPairs(got)
 	if !pairsEqual(got, want) {
 		t.Errorf("oversized k: Counting differs from conceptual")

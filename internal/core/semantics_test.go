@@ -27,7 +27,7 @@ func TestInnerPushdownIsInvalid(t *testing.T) {
 	inner := testutil.BuildRelation(t, testutil.Grid, hotels)
 	kJoin, kSel := 2, 2
 
-	correct := core.SelectInnerJoinConceptual(outer, inner, shoppingCenter, kJoin, kSel, nil)
+	correct := core.SelectInnerJoinConceptual(outer, inner, shoppingCenter, kJoin, kSel, 1, nil)
 	core.SortPairs(correct)
 
 	wrong, err := core.InvalidInnerPushdown(outer, inner, shoppingCenter, kJoin, kSel,
@@ -65,7 +65,7 @@ func TestInnerPushdownNonEquivalenceFormula(t *testing.T) {
 		inner := testutil.BuildRelation(t, testutil.Grid, innerPts)
 		f := geom.Point{X: 50, Y: 50}
 
-		correct := core.SelectInnerJoinConceptual(outer, inner, f, 3, 5, nil)
+		correct := core.SelectInnerJoinConceptual(outer, inner, f, 3, 5, 1, nil)
 		core.SortPairs(correct)
 		wrong, err := core.InvalidInnerPushdown(outer, inner, f, 3, 5, builder(testutil.Grid), nil)
 		if err != nil {
@@ -97,7 +97,7 @@ func TestUnchainedSequentialIsWrong(t *testing.T) {
 	c := testutil.BuildRelation(t, testutil.Grid, cPts)
 	kAB, kCB := 2, 2
 
-	correct := core.UnchainedConceptual(a, b, c, kAB, kCB, nil)
+	correct := core.UnchainedConceptual(a, b, c, kAB, kCB, 1, nil)
 	core.SortTriples(correct)
 
 	abFirst, err := core.SequentialUnchained(a, b, c, kAB, kCB, true, builder(testutil.Grid), nil)
@@ -175,7 +175,7 @@ func TestRangeInnerPushdownIsInvalid(t *testing.T) {
 	inner := testutil.BuildRelation(t, testutil.Grid, hotels)
 	kJoin := 2
 
-	correct := core.RangeInnerJoinConceptual(outer, inner, rng, kJoin, nil)
+	correct := core.RangeInnerJoinConceptual(outer, inner, rng, kJoin, 1, nil)
 	core.SortPairs(correct)
 	wrong, err := core.InvalidRangeInnerPushdown(outer, inner, rng, kJoin, builder(testutil.Grid), nil)
 	if err != nil {

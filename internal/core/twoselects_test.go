@@ -140,7 +140,7 @@ func TestKNNJoinBasics(t *testing.T) {
 	outer := testutil.BuildRelation(t, testutil.Grid, outerPts)
 	inner := testutil.BuildRelation(t, testutil.Grid, innerPts)
 
-	got := core.KNNJoin(outer, inner, 2, nil)
+	got := core.KNNJoin(outer, inner, 2, 1, nil)
 	core.SortPairs(got)
 	want := []core.Pair{
 		{Left: geom.Point{X: 0, Y: 0}, Right: geom.Point{X: 1, Y: 0}},
@@ -153,7 +153,7 @@ func TestKNNJoinBasics(t *testing.T) {
 		t.Fatalf("KNNJoin = %v, want %v", got, want)
 	}
 
-	if got := core.KNNJoin(outer, inner, 0, nil); len(got) != 0 {
+	if got := core.KNNJoin(outer, inner, 0, 1, nil); len(got) != 0 {
 		t.Errorf("k=0 join must be empty")
 	}
 }

@@ -40,10 +40,10 @@ func TestUnchainedEquivalence(t *testing.T) {
 			b := testutil.BuildRelation(t, kind, layout.b)
 			c := testutil.BuildRelation(t, kind, layout.c)
 			for _, ks := range []struct{ kAB, kCB int }{{1, 1}, {3, 3}, {2, 7}} {
-				want := core.UnchainedConceptual(a, b, c, ks.kAB, ks.kCB, nil)
+				want := core.UnchainedConceptual(a, b, c, ks.kAB, ks.kCB, 1, nil)
 				core.SortTriples(want)
 				for _, order := range orders {
-					got := core.UnchainedBlockMarking(a, b, c, ks.kAB, ks.kCB, order, nil)
+					got := core.UnchainedBlockMarking(a, b, c, ks.kAB, ks.kCB, order, 1, nil)
 					core.SortTriples(got)
 					if !triplesEqual(got, want) {
 						t.Fatalf("%s/%s kAB=%d kCB=%d order=%v: Block-Marking differs from conceptual (%d vs %d triples)",
@@ -66,12 +66,12 @@ func TestUnchainedOrderIndependence(t *testing.T) {
 	c := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(80, unBounds, 913))
 	kAB, kCB := 3, 4
 
-	fwd := core.UnchainedConceptual(a, b, c, kAB, kCB, nil)
+	fwd := core.UnchainedConceptual(a, b, c, kAB, kCB, 1, nil)
 	core.SortTriples(fwd)
 
 	// Swap the roles of A and C (and the k values accordingly): the result
 	// triples must be the same up to the A<->C field swap.
-	rev := core.UnchainedConceptual(c, b, a, kCB, kAB, nil)
+	rev := core.UnchainedConceptual(c, b, a, kCB, kAB, 1, nil)
 	for i := range rev {
 		rev[i].A, rev[i].C = rev[i].C, rev[i].A
 	}
@@ -98,9 +98,9 @@ func TestUnchainedPruningSoundness(t *testing.T) {
 	kAB, kCB := 3, 3
 
 	var ctr stats.Counters
-	got := core.UnchainedBlockMarking(a, b, c, kAB, kCB, core.OrderABFirst, &ctr)
+	got := core.UnchainedBlockMarking(a, b, c, kAB, kCB, core.OrderABFirst, 1, &ctr)
 	core.SortTriples(got)
-	want := core.UnchainedConceptual(a, b, c, kAB, kCB, nil)
+	want := core.UnchainedConceptual(a, b, c, kAB, kCB, 1, nil)
 	core.SortTriples(want)
 
 	if !triplesEqual(got, want) {
@@ -146,9 +146,9 @@ func TestUnchainedRandomSweep(t *testing.T) {
 		b := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(nb, unBounds, rng.Int63()))
 		c := testutil.BuildRelation(t, testutil.Grid, testutil.UniformPoints(nc, unBounds, rng.Int63()))
 
-		want := core.UnchainedConceptual(a, b, c, kAB, kCB, nil)
+		want := core.UnchainedConceptual(a, b, c, kAB, kCB, 1, nil)
 		core.SortTriples(want)
-		got := core.UnchainedBlockMarking(a, b, c, kAB, kCB, core.OrderAuto, nil)
+		got := core.UnchainedBlockMarking(a, b, c, kAB, kCB, core.OrderAuto, 1, nil)
 		core.SortTriples(got)
 		if !triplesEqual(got, want) {
 			t.Fatalf("trial %d (na=%d nb=%d nc=%d kAB=%d kCB=%d): mismatch %d vs %d",

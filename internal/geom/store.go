@@ -16,8 +16,7 @@ import "repro/internal/kernel"
 // (offset, length) span and never copy points.
 //
 // A PointStore is append-only while being built and immutable once an index
-// has been constructed over it; the dynamic grid gives each of its blocks a
-// small private store instead of sharing a relation-wide one.
+// has been constructed over it.
 type PointStore struct {
 	// Xs and Ys hold the coordinates, parallel to each other and to IDs.
 	Xs, Ys []float64
@@ -153,14 +152,4 @@ func FlatXYs(pts []Point) (xs, ys []float64) {
 		xs[i], ys[i] = p.X, p.Y
 	}
 	return xs, ys
-}
-
-// SwapRemove removes point i by swapping the last point into its place and
-// truncating — the O(1) deletion the dynamic grid's per-block stores use.
-func (st *PointStore) SwapRemove(i int) {
-	last := st.Len() - 1
-	st.Xs[i], st.Ys[i], st.IDs[i] = st.Xs[last], st.Ys[last], st.IDs[last]
-	st.Xs = st.Xs[:last]
-	st.Ys = st.Ys[:last]
-	st.IDs = st.IDs[:last]
 }

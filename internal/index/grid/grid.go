@@ -134,7 +134,7 @@ func NewFromStore(st *geom.PointStore, opt Options) (*Grid, error) {
 		offsets[id] = off
 		off += c
 		if c > 0 {
-			g.setOccupied(id, true)
+			g.setOccupied(id)
 		}
 	}
 	g.store = &geom.PointStore{
@@ -178,19 +178,12 @@ func NewFromStore(st *geom.PointStore, opt Options) (*Grid, error) {
 	return g, nil
 }
 
-// setOccupied sets or clears cell id's bit in both occupancy bitsets.
-func (g *Grid) setOccupied(id int, on bool) {
+// setOccupied sets cell id's bit in both occupancy bitsets.
+func (g *Grid) setOccupied(id int) {
 	r, c := id/g.cols, id%g.cols
-	setBit(g.rowBits, id, on)
-	setBit(g.colBits, c*g.rows+r, on)
-}
-
-func setBit(set []uint64, i int, on bool) {
-	if on {
-		set[i>>6] |= 1 << (uint(i) & 63)
-	} else {
-		set[i>>6] &^= 1 << (uint(i) & 63)
-	}
+	g.rowBits[id>>6] |= 1 << (uint(id) & 63)
+	i := c*g.rows + r
+	g.colBits[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // nextSet returns the smallest set bit of set in [i, hi], or -1 when there

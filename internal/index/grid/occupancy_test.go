@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/index"
-	"repro/internal/locality"
 )
 
 // clusteredPoints returns n points in a few tight Gaussian blobs inside
@@ -107,85 +106,4 @@ func TestRingIterSkewedAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(20, drain); avg != 0 {
 		t.Fatalf("pooled ring iteration allocates %v per round, want 0", avg)
 	}
-}
-
-// checkDynamicKNN compares kNN answers over d with the naive oracle over
-// live, and the iterator with the eager scan of the same blocks.
-func checkDynamicKNN(t *testing.T, d *Dynamic, live []geom.Point, focals []geom.Point) {
-	t.Helper()
-	checkOccupancyBits(t, d.grid)
-	checkRingIterOrder(t, d.grid, 36)
-	s := locality.NewSearcher(d)
-	for _, f := range focals {
-		for _, k := range []int{1, 3, len(live) + 2} {
-			got := s.Neighborhood(f, k, nil).Points
-			want := locality.NaiveKNN(live, f, k).Points
-			if len(got) != len(want) {
-				t.Fatalf("f=%v k=%d: %d neighbors, want %d", f, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("f=%v k=%d: neighbor %d is %v, want %v", f, k, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestDynamicKNNAfterInsertIntoEmptyGrid(t *testing.T) {
-	bounds := geom.NewRect(0, 0, 1000, 1000)
-	d, err := NewDynamic(bounds, 40, 40, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	focals := []geom.Point{{X: 500, Y: 500}, {X: 5, Y: 990}, {X: -300, Y: 1200}}
-	if b, _, ok := d.NewMinDistIter(focals[0]).Next(); ok {
-		t.Fatalf("empty dynamic grid yielded %v", b)
-	}
-	var live []geom.Point
-	for _, p := range []geom.Point{{X: 990, Y: 10}, {X: 12, Y: 13}, {X: 12, Y: 13}, {X: 480, Y: 700}} {
-		if err := d.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, p)
-		checkDynamicKNN(t, d, live, focals)
-	}
-}
-
-func TestDynamicKNNAfterRemovingLastPointOfCell(t *testing.T) {
-	bounds := geom.NewRect(0, 0, 1000, 1000)
-	// Two dense clusters plus isolated points, each alone in its cell.
-	base := clusteredPoints(200, 2, 10, bounds, 37)
-	isolated := []geom.Point{{X: 100, Y: 900}, {X: 900, Y: 100}, {X: 501, Y: 499}}
-	d, err := NewDynamic(bounds, 32, 32, append(append([]geom.Point(nil), base...), isolated...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	focals := append([]geom.Point{{X: 0, Y: 0}}, isolated...)
-	live := append(append([]geom.Point(nil), base...), isolated...)
-	checkDynamicKNN(t, d, live, focals)
-	for _, p := range isolated {
-		if d.Locate(p).Count() != 1 {
-			t.Fatalf("%v is not alone in its cell", p)
-		}
-		if !d.Remove(p) {
-			t.Fatalf("Remove(%v) missed", p)
-		}
-		live = removePoint(live, p)
-		checkDynamicKNN(t, d, live, focals)
-	}
-	// Re-inserting fills the emptied cell again.
-	if err := d.Insert(isolated[0]); err != nil {
-		t.Fatal(err)
-	}
-	checkDynamicKNN(t, d, append(live, isolated[0]), focals)
-}
-
-func removePoint(pts []geom.Point, p geom.Point) []geom.Point {
-	for i, q := range pts {
-		if q == p {
-			return append(pts[:i:i], pts[i+1:]...)
-		}
-	}
-	return pts
 }

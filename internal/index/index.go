@@ -30,8 +30,7 @@ import (
 // belongs to exactly one block.
 //
 // Blocks are created by index constructors and must be treated as read-only
-// by algorithms. The only exception is the dynamic grid, whose blocks own
-// private mutable stores (see NewMutableBlock).
+// by algorithms.
 type Block struct {
 	// ID is the position of the block in its index's Blocks() slice. It is
 	// used by algorithms to attach per-block state (marks, counts) in flat
@@ -43,28 +42,15 @@ type Block struct {
 	// bounding box of the points (a grid cell, for example).
 	Bounds geom.Rect
 
-	// store holds the block's points as the span [off, off+n). For blocks of
-	// a static index the store is shared by the whole relation; for dynamic
-	// blocks it is private with off == 0.
+	// store holds the block's points as the span [off, off+n).
 	store *geom.PointStore
 	off   int
 	n     int
-
-	// mutable marks a block created with NewMutableBlock (private store);
-	// only such blocks accept Push/RemoveAt.
-	mutable bool
 }
 
 // NewBlock returns a block spanning [off, off+n) of store.
 func NewBlock(id int, bounds geom.Rect, store *geom.PointStore, off, n int) *Block {
 	return &Block{ID: id, Bounds: bounds, store: store, off: off, n: n}
-}
-
-// NewMutableBlock returns a block owning a private, initially empty store,
-// for indexes over mutable point sets (the dynamic grid). Only such blocks
-// may be mutated through Push and RemoveAt.
-func NewMutableBlock(id int, bounds geom.Rect) *Block {
-	return &Block{ID: id, Bounds: bounds, store: &geom.PointStore{}, mutable: true}
 }
 
 // Count returns the number of points stored in the block. The paper assumes
@@ -145,28 +131,6 @@ func (b *Block) SelectWithinSq(p geom.Point, dSq float64, idx []int32) int {
 	return kernel.SelectWithinSpan(b.store.Xs, b.store.Ys, b.off, b.n, p.X, p.Y, dSq, idx)
 }
 
-// Push appends p with the given stable ID to a mutable block (one created
-// with NewMutableBlock). It panics on span blocks of a shared store, whose
-// neighbors it would corrupt.
-func (b *Block) Push(p geom.Point, id int32) {
-	if !b.mutable {
-		panic("index: Push on an immutable span block")
-	}
-	b.store.AppendWithID(p, id)
-	b.n++
-}
-
-// RemoveAt deletes the i-th point of a mutable block by swapping the last
-// point into its place (matching the dynamic grid's historical removal
-// order). It panics on span blocks of a shared store.
-func (b *Block) RemoveAt(i int) {
-	if !b.mutable {
-		panic("index: RemoveAt on an immutable span block")
-	}
-	b.store.SwapRemove(i)
-	b.n--
-}
-
 // Center returns the center of the block's region. The Block-Marking
 // algorithm computes neighborhoods of block centers (Theorem 1 of the paper
 // shows the center minimizes the search threshold).
@@ -202,9 +166,9 @@ type Index interface {
 }
 
 // Storer is implemented by indexes whose blocks are spans over one
-// relation-wide PointStore in block-contiguous order. All four static index
-// families implement it; the dynamic grid (per-block private stores) does
-// not.
+// relation-wide PointStore in block-contiguous order. All four index
+// families implement it; overlay snapshots, whose delta blocks live in a
+// side store, do not.
 type Storer interface {
 	// Store returns the relation-wide point store. Position i of the store
 	// is the i-th point in block-ID-then-storage scan order, and IDs[i] is

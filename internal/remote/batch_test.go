@@ -113,6 +113,32 @@ func TestRemoteJoinProbeCount(t *testing.T) {
 	}
 }
 
+// TestRemoteSelectOuterJoinSequentialProbeCount checks that a sequential
+// scatter (workers 0, the public default) runs as one unit: the kSel
+// selected points of a select-outer-join against S hash shards cost at
+// most one envelope attempt per shard per round, S·S in all. Cutting the
+// selected points into per-CPU chunks multiplies that by the chunk count.
+func TestRemoteSelectOuterJoinSequentialProbeCount(t *testing.T) {
+	const shards, kSel, kJoin = 2, 64, 5
+	_, srvs := splitLayout(t, testPoints(3000, 34), shards, shard.PolicyHash)
+	opts := fastOpts()
+	opts.HedgeAfter = NoHedging
+	g, members := dialGroup(t, loopbacks(srvs), opts)
+	outer := shard.SingleGroup(localOuter(t, 400, 35))
+
+	before := attempts(members)
+	pairs := shard.SelectOuterJoin(context.Background(), outer, g, geom.Point{X: 500, Y: 500}, kSel, kJoin, 0, nil)
+	got := attempts(members) - before
+
+	if got > shards*shards {
+		t.Fatalf("sequential remote select-outer-join made %d envelope attempts, want at most S·S = %d",
+			got, shards*shards)
+	}
+	if len(pairs) != kSel*kJoin {
+		t.Fatalf("select-outer-join returned %d pairs, want %d", len(pairs), kSel*kJoin)
+	}
+}
+
 // TestRemoteBatchKeepsSkipRule holds the batched remote joins to the
 // per-tuple probe set: the shards compute exactly as many neighborhoods as
 // the in-process sharded run of the same join, and return the same pairs.

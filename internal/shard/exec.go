@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -84,8 +83,7 @@ func blockUnits(ctx context.Context, g Group) []unit {
 	return units
 }
 
-// pointUnits cuts pts into contiguous chunks sized for dynamic load
-// balancing (several chunks per worker).
+// pointUnits cuts pts into contiguous chunks (see chunkSize).
 func pointUnits(pts []geom.Point, workers int) []unit {
 	if len(pts) == 0 {
 		return nil
@@ -113,15 +111,14 @@ func pairUnits(pairs []core.Pair, workers int) []unit {
 	return units
 }
 
+// chunkSize is the unit size for n items: all of them for a sequential
+// run, so each inner shard gets one batched call per scatter round;
+// otherwise several chunks per worker for dynamic load balancing.
 func chunkSize(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if workers <= 1 {
+		return n
 	}
-	chunk := (n + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
-	return chunk
+	return max(1, (n+workers*4-1)/(workers*4))
 }
 
 // emitFn consumes one unit, appending results to dst.

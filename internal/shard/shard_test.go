@@ -172,7 +172,7 @@ func TestJoinMatchesCore(t *testing.T) {
 	innerIx, _ := grid.New(innerPts, grid.Options{TargetPerCell: 16, Bounds: testBounds})
 	outerSingle, innerSingle := core.NewRelation(outerIx), core.NewRelation(innerIx)
 
-	want := core.KNNJoin(outerSingle, innerSingle.Acquire(), 4, nil)
+	want := core.KNNJoin(outerSingle, innerSingle.Acquire(), 4, 1, nil)
 	core.SortPairs(want)
 
 	for _, workers := range []int{1, 3} {
@@ -238,7 +238,7 @@ func TestBoundedPoolDegradation(t *testing.T) {
 
 	outerIx, _ := grid.New(outerPts, grid.Options{TargetPerCell: 16, Bounds: testBounds})
 	innerIx, _ := grid.New(innerPts, grid.Options{TargetPerCell: 16, Bounds: testBounds})
-	want := core.KNNJoin(core.NewRelation(outerIx), core.NewRelation(innerIx).Acquire(), 3, nil)
+	want := core.KNNJoin(core.NewRelation(outerIx), core.NewRelation(innerIx).Acquire(), 3, 1, nil)
 	core.SortPairs(want)
 
 	got := Join(nil, outerG, innerSharded.Group(), 3, 8, nil)

@@ -214,9 +214,10 @@ func WithExhaustivePreprocessing() QueryOption {
 	return func(c *queryConfig) { c.exhaustive = true }
 }
 
-// WithConcurrency fans one query's tuple batches out across n workers
-// (n ≤ 0 selects GOMAXPROCS; the default without this option is
-// sequential). Each worker borrows a searcher handle from the inner
+// WithConcurrency fans one query's tuple batches out across n workers;
+// n ≤ 0 selects GOMAXPROCS. A count of one or less — n = 1, or n ≤ 0 in a
+// one-CPU process — evaluates sequentially on the caller's goroutine, as
+// does a query without this option. Each worker borrows a searcher handle from the inner
 // relation's pool and appends into a private arena, so the result is
 // identical to the sequential evaluation — including order — and no
 // per-batch result allocation occurs.
@@ -237,12 +238,6 @@ func WithConcurrency(n int) QueryOption {
 	}
 	return func(c *queryConfig) { c.concurrency = n }
 }
-
-// WithParallelism is the former name of WithConcurrency.
-//
-// Deprecated: use WithConcurrency, which now covers every join algorithm,
-// not only KNNJoin.
-func WithParallelism(n int) QueryOption { return WithConcurrency(n) }
 
 // WithStats accumulates operation counters for the query into s. The
 // counters are atomic: one *Stats may be shared across concurrent queries
@@ -322,24 +317,16 @@ func SelectInnerJoin(outer, inner Source, f Point, kJoin, kSel int, opts ...Quer
 		co, ci := snapshotPair(rels[0], rels[1])
 		hi := acquireHandle(cfg.ctx, ci)
 		defer hi.Release()
-		ho := co
 
 		var pairs []Pair
-		switch {
-		case alg == plan.Conceptual && cfg.concurrency > 1:
-			pairs = core.SelectInnerJoinConceptualParallel(ho, hi, f, kJoin, kSel, cfg.concurrency, cfg.stats)
-		case alg == plan.Conceptual:
-			pairs = core.SelectInnerJoinConceptual(ho, hi, f, kJoin, kSel, cfg.stats)
-		case alg == plan.Counting && cfg.concurrency > 1:
-			pairs = core.SelectInnerJoinCountingParallel(ho, hi, f, kJoin, kSel, cfg.concurrency, cfg.stats)
-		case alg == plan.Counting:
-			pairs = core.SelectInnerJoinCounting(ho, hi, f, kJoin, kSel, cfg.stats)
-		case cfg.concurrency > 1:
-			pairs = core.SelectInnerJoinBlockMarkingParallel(ho, hi, f, kJoin, kSel,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
+		switch alg {
+		case plan.Conceptual:
+			pairs = core.SelectInnerJoinConceptual(co, hi, f, kJoin, kSel, cfg.concurrency, cfg.stats)
+		case plan.Counting:
+			pairs = core.SelectInnerJoinCounting(co, hi, f, kJoin, kSel, cfg.concurrency, cfg.stats)
 		default:
-			pairs = core.SelectInnerJoinBlockMarking(ho, hi, f, kJoin, kSel,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.stats)
+			pairs = core.SelectInnerJoinBlockMarking(co, hi, f, kJoin, kSel,
+				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
 		}
 
 		if cfg.explain != nil {
@@ -378,12 +365,7 @@ func SelectOuterJoin(outer, inner Source, f Point, kSel, kJoin int, opts ...Quer
 		co, ci := snapshotPair(rels[0], rels[1])
 		ho, hi := acquireHandlePair(cfg.ctx, co, ci)
 		defer core.ReleasePair(ho, hi)
-		var pairs []Pair
-		if cfg.concurrency > 1 {
-			pairs = core.SelectOuterJoinParallel(ho, hi, f, kSel, kJoin, cfg.concurrency, cfg.stats)
-		} else {
-			pairs = core.SelectOuterJoin(ho, hi, f, kSel, kJoin, cfg.stats)
-		}
+		pairs := core.SelectOuterJoin(ho, hi, f, kSel, kJoin, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
 			node := plan.SelectOuterJoinPlan(outer.Name(), inner.Name(), outer.Len(), inner.Len(), kSel, kJoin)
 			*cfg.explain = node.Explain()
@@ -439,15 +421,10 @@ func UnchainedJoins(a, b, c Source, kAB, kCB int, opts ...QueryOption) ([]Triple
 		defer hb.Release()
 
 		var triples []Triple
-		switch {
-		case prune && cfg.concurrency > 1:
-			triples = core.UnchainedBlockMarkingParallel(cs[0], hb, cs[2], kAB, kCB, order, cfg.concurrency, cfg.stats)
-		case prune:
-			triples = core.UnchainedBlockMarking(cs[0], hb, cs[2], kAB, kCB, order, cfg.stats)
-		case cfg.concurrency > 1:
-			triples = core.UnchainedConceptualParallel(cs[0], hb, cs[2], kAB, kCB, cfg.concurrency, cfg.stats)
-		default:
-			triples = core.UnchainedConceptual(cs[0], hb, cs[2], kAB, kCB, cfg.stats)
+		if prune {
+			triples = core.UnchainedBlockMarking(cs[0], hb, cs[2], kAB, kCB, order, cfg.concurrency, cfg.stats)
+		} else {
+			triples = core.UnchainedConceptual(cs[0], hb, cs[2], kAB, kCB, cfg.concurrency, cfg.stats)
 		}
 
 		if cfg.explain != nil {
@@ -498,12 +475,7 @@ func ChainedJoins(a, b, c Source, kAB, kBC int, opts ...QueryOption) ([]Triple, 
 		// acquisitions deadlock-free.
 		hb, hc := acquireHandlePair(cfg.ctx, cs[1], cs[2])
 		defer core.ReleasePair(hb, hc)
-		var triples []Triple
-		if cfg.concurrency > 1 {
-			triples = core.ChainedJoinsParallel(cs[0], hb, hc, kAB, kBC, qep, cfg.concurrency, cfg.stats)
-		} else {
-			triples = core.ChainedJoins(cs[0], hb, hc, kAB, kBC, qep, cfg.stats)
-		}
+		triples := core.ChainedJoins(cs[0], hb, hc, kAB, kBC, qep, cfg.concurrency, cfg.stats)
 		if cfg.explain != nil {
 			node := plan.ChainedPlan(qep, a.Name(), b.Name(), c.Name(), a.Len(), b.Len(), c.Len(), kAB, kBC)
 			*cfg.explain = fmt.Sprintf("plan: %s (%s)\n%s", qep, reason, node.Explain())
@@ -591,24 +563,16 @@ func RangeInnerJoin(outer, inner Source, rng Rect, kJoin int, opts ...QueryOptio
 		co, ci := snapshotPair(rels[0], rels[1])
 		hi := acquireHandle(cfg.ctx, ci)
 		defer hi.Release()
-		ho := co
 
 		var pairs []Pair
-		switch {
-		case alg == plan.Conceptual && cfg.concurrency > 1:
-			pairs = core.RangeInnerJoinConceptualParallel(ho, hi, rng, kJoin, cfg.concurrency, cfg.stats)
-		case alg == plan.Conceptual:
-			pairs = core.RangeInnerJoinConceptual(ho, hi, rng, kJoin, cfg.stats)
-		case alg == plan.Counting && cfg.concurrency > 1:
-			pairs = core.RangeInnerJoinCountingParallel(ho, hi, rng, kJoin, cfg.concurrency, cfg.stats)
-		case alg == plan.Counting:
-			pairs = core.RangeInnerJoinCounting(ho, hi, rng, kJoin, cfg.stats)
-		case cfg.concurrency > 1:
-			pairs = core.RangeInnerJoinBlockMarkingParallel(ho, hi, rng, kJoin,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
+		switch alg {
+		case plan.Conceptual:
+			pairs = core.RangeInnerJoinConceptual(co, hi, rng, kJoin, cfg.concurrency, cfg.stats)
+		case plan.Counting:
+			pairs = core.RangeInnerJoinCounting(co, hi, rng, kJoin, cfg.concurrency, cfg.stats)
 		default:
-			pairs = core.RangeInnerJoinBlockMarking(ho, hi, rng, kJoin,
-				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.stats)
+			pairs = core.RangeInnerJoinBlockMarking(co, hi, rng, kJoin,
+				core.BlockMarkingOptions{Exhaustive: cfg.exhaustive}, cfg.concurrency, cfg.stats)
 		}
 		if cfg.explain != nil {
 			node := plan.RangeInnerJoinPlan(alg, outer.Name(), inner.Name(), outer.Len(), inner.Len(), kJoin, rng.String())
